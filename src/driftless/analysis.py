@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, basis_matrix, fit_constants, from_z_frame
+from .closedform import ClosedFormSolution, basis_matrix, from_z_frame, to_z_frame
 from .errors import InconclusiveError
 from .simulate import Trajectory, propagate_fast_attitude
+
+# |c2| below this counts as c2 = 0: the trajectory's limit is the origin
+C2_TOL = 1e-8
+# Brockett scan grid: polar angles times radii, plus the radii on the feasible line
+SCAN_ANGLES = 40
+SCAN_RADII = np.linspace(0.1, 3.0, 25)
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class AsymptoticReport:
     feasible_direction: tuple[float, float]
 
 
-def asymptotics(sol: ClosedFormSolution, c2_tol: float = 1e-8) -> AsymptoticReport:
+def asymptotics(sol: ClosedFormSolution) -> AsymptoticReport:
     """Limits as t -> infinity: z1 vanishes; z2 tends to 2 c2 / pi.
 
     Since the attitude decays to zero, the frame rotation tends to the
@@ -93,7 +99,7 @@ def asymptotics(sol: ClosedFormSolution, c2_tol: float = 1e-8) -> AsymptoticRepo
         z1_limit=0.0,
         z2_limit=z2_limit,
         x_infinity=(0.0, z2_limit),
-        c2_zero_feasible=abs(sol.c2) < c2_tol,
+        c2_zero_feasible=abs(sol.c2) < C2_TOL,
         feasible_direction=(float(direction[0]), float(direction[1])),
     )
 
@@ -150,51 +156,36 @@ class BrockettScanReport:
     max_offline_alignment: float
 
 
-def brockett_scan(
-    theta0: float,
-    n_angles: int = 40,
-    n_radii: int = 25,
-    c2_tol: float = 1e-8,
-    include_feasible_line: bool = True,
-) -> BrockettScanReport:
-    """Fit c2 over a polar grid of initial positions and locate the set
-    where the trajectory limit is the origin (|c2| below tolerance)."""
-    direction = from_z_frame(basis_matrix(theta0)[:, 0], theta0)
+def brockett_scan(theta0: float) -> BrockettScanReport:
+    """Fit c2 over a polar grid of initial positions, plus starts on the
+    feasible line, and locate the set where the trajectory limit is the
+    origin (|c2| below tolerance).
+
+    The fit c = B(theta0)^-1 R(theta0)' X0 is linear in X0, so one basis
+    matrix and one solve serve every start.
+    """
+    basis = basis_matrix(theta0)
+    direction = from_z_frame(basis[:, 0], theta0)
     direction = direction / np.linalg.norm(direction)
-    points = []
-    for ang in np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False):
-        for r in np.linspace(0.1, 3.0, n_radii):
-            points.append((r * math.cos(ang), r * math.sin(ang)))
-    if include_feasible_line:
-        for r in np.linspace(0.1, 3.0, n_radii):
-            points.append(tuple(r * direction))
-    n_feasible = 0
-    aligned = True
-    max_offline = 0.0
-    for X0 in points:
-        _, c2 = fit_constants(X0, theta0)
-        unit = np.asarray(X0) / np.linalg.norm(X0)
-        cross = abs(unit[0] * direction[1] - unit[1] * direction[0])
-        if abs(c2) < c2_tol:
-            n_feasible += 1
-            if cross > 1e-6:
-                aligned = False
-        else:
-            max_offline = max(max_offline, 1.0 - cross)
+    angles = np.linspace(0.0, 2.0 * math.pi, SCAN_ANGLES, endpoint=False)
+    rays = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    grid = SCAN_RADII[None, :, None] * rays[:, None, :]
+    points = np.concatenate([grid.reshape(-1, 2), np.outer(SCAN_RADII, direction)])
+    c2 = np.linalg.solve(basis, to_z_frame(points.T, theta0))[1]
+    units = points / np.linalg.norm(points, axis=1, keepdims=True)
+    cross = np.abs(units[:, 0] * direction[1] - units[:, 1] * direction[0])
+    feasible = np.abs(c2) < C2_TOL
+    n_feasible = int(np.count_nonzero(feasible))
     return BrockettScanReport(
         theta0=theta0,
         n_points=len(points),
         n_feasible=n_feasible,
         feasible_fraction=n_feasible / len(points),
         feasible_direction=(float(direction[0]), float(direction[1])),
-        all_feasible_aligned=aligned,
-        max_offline_alignment=max_offline,
+        all_feasible_aligned=bool(np.all(cross[feasible] <= 1e-6)),
+        max_offline_alignment=float(np.max(1.0 - cross[~feasible], initial=0.0)),
     )
 
 
-def report_to_dict(report) -> dict:
-    return dataclasses.asdict(report)
-
-
-def report_json(report, indent: int = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent)
+def report_json(report) -> str:
+    return json.dumps(dataclasses.asdict(report), indent=2)

@@ -221,26 +221,3 @@ def bessel_y(n: int, x: float) -> EvalResult:
     if n == -1:
         value = -value
     return EvalResult(value, err)
-
-
-def small_arg_limit(kind: str, n: int, x: float) -> float:
-    """Leading-order small-argument form.
-
-    J_n(x) ~ (x/2)^n / n!  for integer n >= 0, |x| <= 0.1;
-    Y_0(x) ~ (2/pi) ln(x), Y_1(x) ~ -2/(pi x)  for 0 < x <= 0.1.
-    """
-    if kind == "J":
-        if n < 0:
-            raise DomainError("J small-argument form needs n >= 0")
-        if abs(x) > 0.1:
-            raise RangeError("small-argument window for J is |x| <= 0.1")
-        return (x / 2.0) ** n / math.factorial(n)
-    if kind == "Y":
-        if n not in (0, 1):
-            raise DomainError("Y small-argument form implemented for n in {0, 1}")
-        if not 0.0 < x <= 0.1:
-            raise RangeError("small-argument window for Y is 0 < x <= 0.1")
-        if n == 0:
-            return (2.0 / math.pi) * math.log(x)
-        return -2.0 / (math.pi * x)
-    raise DomainError(f"kind must be 'J' or 'Y', got {kind!r}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -29,7 +28,7 @@ from .errors import (
     DriftlessError,
     SwitchTimeoutError,
 )
-from .simulate import GainConfig, IntegratorConfig, Trajectory, _atomic_write
+from .simulate import GainConfig, IntegratorConfig, Trajectory
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -37,6 +36,12 @@ EXIT_DIVERGED = 3
 EXIT_TIMEOUT = 4
 EXIT_DEGENERATE = 5
 EXIT_FAILED = 6
+# errors that escape a command, checked in order; anything else is EXIT_INVALID
+ERROR_EXITS = (
+    (DegenerateAttitudeError, EXIT_DEGENERATE),
+    (DivergenceError, EXIT_DIVERGED),
+    (SwitchTimeoutError, EXIT_TIMEOUT),
+)
 
 OUT_DIR_ENV = "DRIFTLESS_OUT_DIR"
 
@@ -111,12 +116,7 @@ def cmd_simulate(args) -> int:
 def cmd_closed_form(args) -> int:
     q0 = _parse_q0(args.q0)
     times = np.arange(0.0, args.t_end + 0.5 * args.sample_dt, args.sample_dt)
-    if q0[2] == 0.0:
-        if not args.degenerate:
-            print(
-                "error: theta0 = 0 is degenerate; pass --degenerate", file=sys.stderr
-            )
-            return EXIT_DEGENERATE
+    if q0[2] == 0.0 and args.degenerate:
         states = [
             np.append(closedform.degenerate_eval(q0[0], q0[1], -1.0, t), 0.0)
             for t in times
@@ -140,9 +140,6 @@ def cmd_closed_form(args) -> int:
 
 def cmd_fit(args) -> int:
     q0 = _parse_q0(args.q0)
-    if q0[2] == 0.0:
-        print("error: theta0 = 0 has no Bessel fit; use --degenerate paths", file=sys.stderr)
-        return EXIT_DEGENERATE
     c1, c2 = closedform.fit_constants(q0[:2], q0[2])
     print(json.dumps({"theta0": q0[2], "c1": c1, "c2": c2}, indent=2))
     return EXIT_OK
@@ -151,19 +148,16 @@ def cmd_fit(args) -> int:
 def cmd_compare(args) -> int:
     q0 = _parse_q0(args.q0)
     cfg = _integrator_config(args)
-    if q0[2] == 0.0 and not args.degenerate:
-        print("error: theta0 = 0 is degenerate; pass --degenerate", file=sys.stderr)
-        return EXIT_DEGENERATE
+    if q0[2] == 0.0 and args.degenerate:
+        position = lambda t: closedform.degenerate_eval(q0[0], q0[1], -1.0, t)
+    else:
+        # fit before integrating: a degenerate start fails before the RK4 run
+        sol = closedform.fit_solution(q0[:2], q0[2])
+        position = lambda t: closedform.eval_solution(sol, t).X
     traj = simulate.integrate_unicycle(q0, GainConfig(-1.0, -1.0), cfg)
     stride = max(1, int(round(args.sample_dt / cfg.step)))
     idx = range(0, len(traj.times), stride)
-    if q0[2] == 0.0:
-        ref = np.array(
-            [closedform.degenerate_eval(q0[0], q0[1], -1.0, traj.times[i]) for i in idx]
-        )
-    else:
-        sol = closedform.fit_solution(q0[:2], q0[2])
-        ref = np.array([closedform.eval_solution(sol, traj.times[i]).X for i in idx])
+    ref = np.array([position(traj.times[i]) for i in idx])
     num = np.array([traj.states[i][:2] for i in idx])
     err = np.abs(ref - num)
     report = {
@@ -199,9 +193,6 @@ def cmd_analyze(args) -> int:
         print(analysis.report_json(cert))
         return EXIT_OK if cert.passed else EXIT_FAILED
     if args.what == "asymptotics":
-        if q0[2] == 0.0:
-            print("error: theta0 = 0 has no Bessel fit", file=sys.stderr)
-            return EXIT_DEGENERATE
         sol = closedform.fit_solution(q0[:2], q0[2])
         report = analysis.asymptotics(sol)
         print(analysis.report_json(report))
@@ -214,9 +205,6 @@ def cmd_analyze(args) -> int:
         ok = report.position_decays and report.attitude_grows
         return EXIT_OK if ok else EXIT_FAILED
     if args.what == "brockett":
-        if q0[2] == 0.0:
-            print("error: theta0 = 0 has no Bessel fit", file=sys.stderr)
-            return EXIT_DEGENERATE
         report = analysis.brockett_scan(q0[2])
         print(analysis.report_json(report))
         return EXIT_OK if report.all_feasible_aligned else EXIT_FAILED
@@ -232,12 +220,7 @@ def cmd_switch(args) -> int:
         switch_radius=args.switch_radius,
         rho_theta_after_switch=args.rho_theta_after_switch,
     )
-    cfg = _integrator_config(args)
-    try:
-        result = simulate.run_switching(q0, gains, cfg)
-    except SwitchTimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
+    result = simulate.run_switching(q0, gains, _integrator_config(args))
     path = _out_path(args.out, f"switch.{args.format}")
     _write_trajectory(
         result.trajectory,
@@ -369,12 +352,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.rho_pos is None or args.rho_theta is None:
                 raise ConfigError("simulate needs --rho or both --rho-pos/--rho-theta")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ValueError, DriftlessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return next((c for cls, c in ERROR_EXITS if isinstance(exc, cls)), EXIT_INVALID)
 
 
 if __name__ == "__main__":

@@ -29,35 +29,22 @@ from .bessel import bessel_j, bessel_y
 from .errors import DegenerateAttitudeError
 
 
-@dataclass(frozen=True)
-class Rotation2:
-    """Planar rotation by ``theta`` radians."""
-
-    theta: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return np.array([[c, -s], [s, c]])
-
-    def compose(self, other: "Rotation2") -> "Rotation2":
-        return Rotation2(self.theta + other.theta)
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, float)
-
-    def apply_inverse(self, v) -> np.ndarray:
-        return self.matrix.T @ np.asarray(v, float)
+def _rotation(theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
 
 
 def to_z_frame(X, theta: float) -> np.ndarray:
-    """Rotate the position into the attitude-aligned frame: Z = R(theta)' X."""
-    return Rotation2(theta).apply_inverse(X)
+    """Rotate the position into the attitude-aligned frame: Z = R(theta)' X.
+
+    X may also be 2 x n, one position per column.
+    """
+    return _rotation(theta).T @ np.asarray(X, float)
 
 
 def from_z_frame(Z, theta: float) -> np.ndarray:
     """Inverse frame change: X = R(theta) Z."""
-    return Rotation2(theta).apply(Z)
+    return _rotation(theta) @ np.asarray(Z, float)
 
 
 @dataclass(frozen=True)
@@ -86,7 +73,7 @@ def basis_matrix(theta0: float) -> np.ndarray:
     solvable for every theta0 != 0.
     """
     if theta0 == 0.0:
-        raise DegenerateAttitudeError("theta0 must be nonzero")
+        raise DegenerateAttitudeError("theta0 = 0 is degenerate: no Bessel fit exists")
     s = abs(theta0)
     j0 = bessel_j(0, s).value
     j1 = bessel_j(1, s).value

@@ -9,7 +9,7 @@ loop satisfies the identity E(t) = (rho/2)(||q(t)||^2 - ||q(0)||^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,36 +110,3 @@ def closed_loop_field(q, fields: VectorFieldSet, rho: float) -> np.ndarray:
     qv = as_state(q)
     s = fields.matrix(qv)
     return s @ (rho * (s.T @ qv))
-
-
-@dataclass(frozen=True)
-class EnergyAccumulator:
-    """Running value of int ||q'||^2 dt, advanced by trapezoidal steps.
-
-    ``last_rate`` holds the integrand at ``last_time``; the first step after
-    construction falls back to a rectangle rule since no left endpoint is
-    known yet.
-    """
-
-    value: float = 0.0
-    last_time: float = 0.0
-    last_rate: float | None = field(default=None)
-
-
-def energy_step(acc: EnergyAccumulator, qdot, dt: float) -> EnergyAccumulator:
-    """Advance the accumulator by one step with end-of-step speed ``qdot``."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0.0:
-        return acc
-    rate = float(np.dot(qdot, qdot))
-    if acc.last_rate is None:
-        increment = rate * dt
-    else:
-        increment = 0.5 * (acc.last_rate + rate) * dt
-    return replace(
-        acc,
-        value=acc.value + increment,
-        last_time=acc.last_time + dt,
-        last_rate=rate,
-    )

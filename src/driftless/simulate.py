@@ -3,9 +3,9 @@
 This module is the independent oracle for every closed-form claim: a
 classical fixed-step RK4 (default, step 1e-3) and an adaptive
 Dormand-Prince RK45 for long-horizon runs.  It also provides the
-offset-point kinematics, the gain-switching strategy, and a specialized
-propagator for the regime where the attitude is deliberately destabilized
-and the closed loop rotates exponentially fast.
+gain-switching strategy and a specialized propagator for the regime where
+the attitude is deliberately destabilized and the closed loop rotates
+exponentially fast.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +24,12 @@ from .core import VectorFieldSet, as_state
 from .errors import DivergenceError, SwitchTimeoutError
 
 DIVERGENCE_FACTOR = 1e6
+# propagate_fast_attitude: time stepping below |theta| = FAST_SPLIT, attitude
+# clock beyond; each phase records about FAST_SAMPLES positions
+FAST_SPLIT = 50.0
+FAST_STEP_T = 1e-3
+FAST_STEP_S = 0.2
+FAST_SAMPLES = 8
 CSV_HEADER = "t,x_c,y_c,theta,energy"
 
 
@@ -79,20 +85,6 @@ def unicycle_field_set() -> VectorFieldSet:
         return np.array([[math.cos(th), 0.0], [math.sin(th), 0.0], [0.0, 1.0]])
 
     return VectorFieldSet(n=3, k=2, evaluate=evaluate)
-
-
-def offset_field(q, a: float, u) -> np.ndarray:
-    """Kinematics of a point at distance ``a`` ahead of the wheel baseline.
-
-    x' = u1 cos(th) - a u2 sin(th), y' = u1 sin(th) + a u2 cos(th),
-    th' = u2; reduces to the plain unicycle at a = 0.
-    """
-    if a < 0.0:
-        raise ValueError("offset distance a must be nonnegative")
-    th = float(q[2])
-    u1, u2 = float(u[0]), float(u[1])
-    c, s = math.cos(th), math.sin(th)
-    return np.array([u1 * c - a * u2 * s, u1 * s + a * u2 * c, u2])
 
 
 @dataclass(frozen=True)
@@ -251,16 +243,19 @@ def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
     q0 = as_state(q0)
     f = lambda t, q: np.asarray(field_fn(q), float)
     times, states = [0.0], [q0]
+
+    def trajectory():
+        rates = [float(np.dot(d, d)) for d in (f(0.0, q) for q in states)]
+        return Trajectory.from_samples(times, states, rates)
+
     try:
         for t, q in _step_stream(f, q0, cfg):
             times.append(t)
             states.append(q)
     except DivergenceError as exc:
-        rates = [float(np.dot(f(0.0, q), f(0.0, q))) for q in states]
-        exc.trajectory = Trajectory.from_samples(times, states, rates)
+        exc.trajectory = trajectory()
         raise
-    rates = [float(np.dot(f(0.0, q), f(0.0, q))) for q in states]
-    return Trajectory.from_samples(times, states, rates)
+    return trajectory()
 
 
 def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajectory:
@@ -288,10 +283,11 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     x, y, th = float(q0[0]), float(q0[1]), float(q0[2])
     times = [0.0]
     states = [(x, y, th)]
-    d = rhs(x, y, th)
-    rates = [d[0] * d[0] + d[1] * d[1] + d[2] * d[2]]
+    ax, ay, at = rhs(x, y, th)
+    rates = [ax * ax + ay * ay + at * at]
     for i in range(1, n_steps + 1):
-        ax, ay, at = rhs(x, y, th)
+        # (ax, ay, at) is the field at the current node: the rate stored
+        # for it and this step's first stage
         bx, by, bt = rhs(x + 0.5 * h * ax, y + 0.5 * h * ay, th + 0.5 * h * at)
         cx, cy, ct = rhs(x + 0.5 * h * bx, y + 0.5 * h * by, th + 0.5 * h * bt)
         dx, dy, dt_ = rhs(x + h * cx, y + h * cy, th + h * ct)
@@ -305,8 +301,8 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
             )
         times.append(i * h)
         states.append((x, y, th))
-        d = rhs(x, y, th)
-        rates.append(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        ax, ay, at = rhs(x, y, th)
+        rates.append(ax * ax + ay * ay + at * at)
     return Trajectory.from_samples(times, states, rates)
 
 
@@ -446,21 +442,17 @@ def propagate_fast_attitude(
     rho_pos: float,
     rho_theta: float,
     t_end: float,
-    n_checkpoints: int = 16,
-    split: float = 50.0,
-    step_t: float = 1e-3,
-    step_s: float = 0.2,
 ):
     """Position trajectory when the attitude gain is destabilizing.
 
     theta(t) = theta0 exp(rho_theta t) is exact, so the position subsystem
     is linear time-varying.  Direct time stepping is used while the
-    rotation is slow (|theta| < ``split``); beyond that the integration
+    rotation is slow (|theta| < FAST_SPLIT); beyond that the integration
     switches to the attitude clock, where the oscillation frequency is
     constant and a fixed step resolves it at any horizon.
 
-    Returns (times, positions) sampled at ~n_checkpoints points including
-    both endpoints.
+    Returns (times, positions): the start plus about FAST_SAMPLES points
+    from each phase that runs, the last at t_end.
     """
     if not rho_theta > 0.0:
         raise ValueError("this propagator is for growing attitude (rho_theta > 0)")
@@ -469,16 +461,16 @@ def propagate_fast_attitude(
 
     s0 = abs(theta0)
     sign = 1.0 if theta0 >= 0.0 else -1.0
-    t1 = t_end if s0 == 0.0 or s0 >= split else min(
-        t_end, math.log(split / s0) / rho_theta
+    t1 = t_end if s0 == 0.0 or s0 >= FAST_SPLIT else min(
+        t_end, math.log(FAST_SPLIT / s0) / rho_theta
     )
-    if s0 >= split:
+    if s0 >= FAST_SPLIT:
         t1 = 0.0
 
     if t1 > 0.0:
-        n_steps = max(1, int(math.ceil(t1 / step_t)))
+        n_steps = max(1, int(math.ceil(t1 / FAST_STEP_T)))
         h = t1 / n_steps
-        sample_every = max(1, n_steps // max(1, n_checkpoints // 2))
+        sample_every = max(1, n_steps // FAST_SAMPLES)
 
         def rhs(t, Xv):
             th = theta0 * math.exp(rho_theta * t)
@@ -500,11 +492,11 @@ def propagate_fast_attitude(
     a = rho_pos / rho_theta
     s_start = s0 * math.exp(rho_theta * t1)
     s_end = s0 * math.exp(rho_theta * t_end)
-    n_seg = max(1, n_checkpoints // 2)
-    seg_bounds = np.exp(np.linspace(math.log(s_start), math.log(s_end), n_seg + 1))
+    log_bounds = np.linspace(math.log(s_start), math.log(s_end), FAST_SAMPLES + 1)
+    seg_bounds = np.exp(log_bounds)
     max_chunk = 200_000
     for lo, hi in zip(seg_bounds[:-1], seg_bounds[1:]):
-        n_total = max(1, int(math.ceil((hi - lo) / step_s)))
+        n_total = max(1, int(math.ceil((hi - lo) / FAST_STEP_S)))
         done = 0
         s_lo = lo
         while done < n_total:

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from driftless.analysis import (
+    C2_TOL,
     asymptotics,
     brockett_scan,
     certify_stability,
     report_json,
-    report_to_dict,
     rho_positive_study,
 )
-from driftless.closedform import ClosedFormSolution, fit_solution
+from driftless.closedform import ClosedFormSolution, fit_constants, fit_solution
 from driftless.errors import DivergenceError, InconclusiveError
 from driftless.simulate import (
     GainConfig,
@@ -124,11 +124,22 @@ class TestBrockettScan:
             assert report.n_feasible <= 25 + 2
             assert report.feasible_fraction < 0.05
 
+    def test_matches_per_point_fit(self):
+        # the scan solves every start at once; refitting each start on its
+        # own is the reference
+        radii = np.linspace(0.1, 3.0, 25)
+        angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+        ring = [r * np.array([math.cos(a), math.sin(a)]) for a in angles for r in radii]
+        for theta0 in [0.5, -1.7]:
+            report = brockett_scan(theta0)
+            starts = ring + [r * np.array(report.feasible_direction) for r in radii]
+            c2 = np.array([fit_constants(x, theta0)[1] for x in starts])
+            assert report.n_points == len(starts)
+            assert report.n_feasible == np.count_nonzero(np.abs(c2) < C2_TOL)
+
     def test_on_line_points_reach_origin(self):
         report = brockett_scan(1.0)
         d = np.array(report.feasible_direction)
-        from driftless.closedform import fit_constants
-
         for r in [0.5, 1.0, 2.0]:
             _, c2 = fit_constants(r * d, 1.0)
             assert abs(c2) < 1e-10
@@ -138,4 +149,4 @@ def test_reports_serialize_to_json():
     report = asymptotics(ClosedFormSolution(theta0=1.0, c1=1.0, c2=0.5))
     payload = json.loads(report_json(report))
     assert payload["z2_limit"] == pytest.approx(1.0 / math.pi)
-    assert report_to_dict(report)["x_infinity"][0] == 0.0
+    assert payload["x_infinity"][0] == 0.0

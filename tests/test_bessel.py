@@ -16,7 +16,6 @@ from driftless.bessel import (
     EvalResult,
     bessel_j,
     bessel_y,
-    small_arg_limit,
 )
 from driftless.errors import DomainError, RangeError
 
@@ -157,33 +156,3 @@ def test_range_and_domain_errors():
 def test_eval_result_rejects_negative_estimate():
     with pytest.raises(ValueError):
         EvalResult(1.0, -1e-3)
-
-
-class TestSmallArgLimit:
-    def test_j0(self):
-        # next series term is -x^2/4
-        assert small_arg_limit("J", 0, 0.01) == pytest.approx(1.0, abs=2.5e-5)
-        assert abs(small_arg_limit("J", 0, 0.01) - bessel_j(0, 0.01).value) <= 2.6e-5
-
-    def test_j1(self):
-        assert small_arg_limit("J", 1, 0.01) == pytest.approx(0.005, abs=1e-7)
-
-    def test_y1(self):
-        assert small_arg_limit("Y", 1, 0.01) == pytest.approx(-63.66, rel=1e-2)
-        assert small_arg_limit("Y", 1, 0.01) == pytest.approx(
-            bessel_y(1, 0.01).value, rel=1e-2
-        )
-
-    def test_y0_log_term(self):
-        x = 0.001
-        assert small_arg_limit("Y", 0, x) == pytest.approx(
-            (2.0 / math.pi) * math.log(x), abs=1e-12
-        )
-
-    def test_windows(self):
-        with pytest.raises(RangeError):
-            small_arg_limit("J", 0, 0.2)
-        with pytest.raises(RangeError):
-            small_arg_limit("Y", 1, -0.01)
-        with pytest.raises(DomainError):
-            small_arg_limit("Q", 0, 0.01)

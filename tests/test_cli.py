@@ -8,6 +8,7 @@ import pytest
 
 from driftless.cli import (
     EXIT_DEGENERATE,
+    EXIT_DIVERGED,
     EXIT_FAILED,
     EXIT_INVALID,
     EXIT_OK,
@@ -151,6 +152,16 @@ def test_switch_timeout(capsys):
     )
     assert code == EXIT_TIMEOUT
     assert "never" in err
+
+
+def test_switch_divergence(capsys):
+    # with a 0.5 step the spin phase blows up before the radius is reached
+    code, _, err = run(
+        capsys, "switch", "--q0", "1,1,0.5", "--method", "rk4", "--step", "0.5",
+        "--switch-radius", "1e-9",
+    )
+    assert code == EXIT_DIVERGED
+    assert "guard" in err
 
 
 def test_config_file_expansion(tmp_path, capsys):

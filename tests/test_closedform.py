@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from driftless.closedform import (
     ClosedFormSolution,
-    Rotation2,
     basis_matrix,
     degenerate_eval,
     eval_solution,
@@ -20,19 +19,6 @@ from driftless.closedform import (
 )
 from driftless.errors import DegenerateAttitudeError
 from driftless.simulate import GainConfig, IntegratorConfig, integrate_unicycle
-
-
-class TestRotation2:
-    @given(th=st.floats(-10, 10))
-    def test_orthonormal(self, th):
-        r = Rotation2(th).matrix
-        assert abs(np.linalg.det(r) - 1.0) < 1e-14
-        assert np.allclose(r.T @ r, np.eye(2), atol=1e-14)
-
-    @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
-    def test_composition(self, a, b):
-        left = Rotation2(a).matrix @ Rotation2(b).matrix
-        assert np.allclose(left, Rotation2(a).compose(Rotation2(b)).matrix, atol=1e-12)
 
 
 class TestFrameChange:

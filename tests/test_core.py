@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from driftless.core import (
-    EnergyAccumulator,
     VectorFieldSet,
     closed_loop_field,
-    energy_step,
     state_feedback,
     validate_fields,
 )
 from driftless.errors import DimensionMismatchError
-from driftless.simulate import GainConfig, IntegratorConfig, integrate, unicycle_field_set
+from driftless.simulate import IntegratorConfig, integrate, unicycle_field_set
 
 
 def test_validate_unicycle_fields_pass():
@@ -97,30 +95,6 @@ class TestClosedLoopField:
         # u1 = -1 projected through (cos 0, sin 0) ignores the y component
         qdot = closed_loop_field([1.0, 1.0, 0.0], unicycle_field_set(), -1.0)
         assert np.allclose(qdot, [-1.0, 0.0, 0.0])
-
-
-class TestEnergyStep:
-    def test_zero_rate(self):
-        acc = energy_step(EnergyAccumulator(), np.zeros(3), 0.5)
-        assert acc.value == 0.0
-
-    def test_unit_rate(self):
-        acc = energy_step(EnergyAccumulator(), np.array([1.0, 0.0, 0.0]), 0.5)
-        assert acc.value == pytest.approx(0.5)
-        assert acc.last_time == pytest.approx(0.5)
-
-    def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            energy_step(EnergyAccumulator(), np.zeros(3), -0.1)
-
-    def test_monotone(self):
-        rng = np.random.default_rng(3)
-        acc = EnergyAccumulator()
-        prev = 0.0
-        for _ in range(50):
-            acc = energy_step(acc, rng.normal(size=3), 0.01)
-            assert acc.value >= prev
-            prev = acc.value
 
 
 def closed_loop(q):

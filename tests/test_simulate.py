@@ -1,11 +1,10 @@
-"""Integrators, unicycle/offset fields, switching, serialization."""
+"""Integrators, unicycle field, switching, serialization."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from driftless.errors import DivergenceError, SwitchTimeoutError
 from driftless.simulate import (
@@ -14,7 +13,6 @@ from driftless.simulate import (
     Trajectory,
     integrate,
     integrate_unicycle,
-    offset_field,
     propagate_fast_attitude,
     run_switching,
     unicycle_field,
@@ -41,39 +39,6 @@ class TestUnicycleField:
         qdot = unicycle_field([1.0, 0.0, 0.0], g)
         assert np.allclose(qdot, [-2.0, 0.0, 0.0])
         assert unicycle_field([0, 0, 1.0], g)[2] == pytest.approx(0.5)
-
-
-class TestOffsetField:
-    def test_zero_offset_is_plain_unicycle(self):
-        assert np.allclose(offset_field([0, 0, 0], 0.0, [1, 1]), [1, 0, 1])
-
-    def test_turn_rate_drags_offset_point(self):
-        assert np.allclose(offset_field([0, 0, 0], 0.5, [0, 2]), [0, 1, 2])
-
-    def test_forward_at_quarter_turn(self):
-        qdot = offset_field([0, 0, math.pi / 2], 0.5, [1, 0])
-        assert np.allclose(qdot, [0, 1, 0], atol=1e-15)
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError):
-            offset_field([0, 0, 0], -0.1, [1, 0])
-
-    @given(
-        x=st.floats(-3, 3),
-        y=st.floats(-3, 3),
-        th=st.floats(-3, 3),
-        u1=st.floats(-2, 2),
-        u2=st.floats(-2, 2),
-    )
-    def test_zero_offset_matches_column_form(self, x, y, th, u1, u2):
-        qdot = offset_field([x, y, th], 0.0, [u1, u2])
-        s = np.array([[math.cos(th), 0], [math.sin(th), 0], [0, 1]])
-        assert np.allclose(qdot, s @ np.array([u1, u2]), atol=1e-12)
-
-    @given(th=st.floats(-6, 6), u1=st.floats(-3, 3))
-    def test_speed_is_frame_invariant(self, th, u1):
-        qdot = offset_field([0.3, -0.7, th], 0.0, [u1, 0.9])
-        assert math.hypot(qdot[0], qdot[1]) == pytest.approx(abs(u1), abs=1e-12)
 
 
 class TestIntegrate:
