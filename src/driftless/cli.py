@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -113,9 +114,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _sample_dt(args) -> float:
+    if not 0.0 < args.sample_dt < math.inf:
+        raise ConfigError(f"--sample-dt must be positive, got {args.sample_dt}")
+    return args.sample_dt
+
+
 def cmd_closed_form(args) -> int:
     q0 = _parse_q0(args.q0)
-    times = np.arange(0.0, args.t_end + 0.5 * args.sample_dt, args.sample_dt)
+    dt = _sample_dt(args)
+    if not 0.0 <= args.t_end < math.inf:
+        raise ConfigError(f"--t-end must be nonnegative, got {args.t_end}")
+    times = np.arange(0.0, args.t_end + 0.5 * dt, dt)
     if q0[2] == 0.0 and args.degenerate:
         states = [
             np.append(closedform.degenerate_eval(q0[0], q0[1], -1.0, t), 0.0)
@@ -147,6 +157,7 @@ def cmd_fit(args) -> int:
 
 def cmd_compare(args) -> int:
     q0 = _parse_q0(args.q0)
+    dt = _sample_dt(args)
     cfg = _integrator_config(args)
     if q0[2] == 0.0 and args.degenerate:
         position = lambda t: closedform.degenerate_eval(q0[0], q0[1], -1.0, t)
@@ -155,7 +166,7 @@ def cmd_compare(args) -> int:
         sol = closedform.fit_solution(q0[:2], q0[2])
         position = lambda t: closedform.eval_solution(sol, t).X
     traj = simulate.integrate_unicycle(q0, GainConfig(-1.0, -1.0), cfg)
-    stride = max(1, int(round(args.sample_dt / cfg.step)))
+    stride = max(1, int(round(dt / cfg.step)))
     idx = range(0, len(traj.times), stride)
     ref = np.array([position(traj.times[i]) for i in idx])
     num = np.array([traj.states[i][:2] for i in idx])

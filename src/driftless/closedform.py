@@ -25,8 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_y
+from .bessel import EULER_GAMMA, bessel_j, bessel_y
 from .errors import DegenerateAttitudeError
+
+RHO = -1.0  # solutions are normalized to equal gains rho = -1
+# below this |theta| the leading small-argument terms are exact in double
+# (the next terms are O(theta^2) relative), and Y1 overflows at subnormals
+_SMALL_THETA = 1e-150
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -54,15 +59,29 @@ class ClosedFormSolution:
     theta0: float
     c1: float
     c2: float
-    rho: float = -1.0
 
     def __post_init__(self):
         if self.theta0 == 0.0:
             raise DegenerateAttitudeError(
                 "theta0 = 0 degenerates the Bessel form; use degenerate_eval"
             )
-        if self.rho != -1.0:
-            raise ValueError("solutions are normalized to rho = -1")
+
+
+def _basis(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Rows mapping (c1, c2) to (z1, z2) at attitude theta.
+
+    theta = 0 is allowed here: it is the t -> infinity limit, z = (0, 2 c2/pi).
+    """
+    s = abs(theta)
+    if s < _SMALL_THETA:
+        # J0 = 1, J1 = s/2, Y0 = (2/pi)(ln(s/2) + gamma), Y1 = -2/(pi s)
+        y0 = (2.0 / math.pi) * (math.log(s) - math.log(2.0) + EULER_GAMMA) if s else 0.0
+        return (theta, theta * y0), (-0.5 * s * s, 2.0 / math.pi)
+    j0 = bessel_j(0, s).value
+    j1 = bessel_j(1, s).value
+    y0 = bessel_y(0, s).value
+    y1 = bessel_y(1, s).value
+    return (theta * j0, theta * y0), (-s * j1, -s * y1)
 
 
 def basis_matrix(theta0: float) -> np.ndarray:
@@ -74,12 +93,7 @@ def basis_matrix(theta0: float) -> np.ndarray:
     """
     if theta0 == 0.0:
         raise DegenerateAttitudeError("theta0 = 0 is degenerate: no Bessel fit exists")
-    s = abs(theta0)
-    j0 = bessel_j(0, s).value
-    j1 = bessel_j(1, s).value
-    y0 = bessel_y(0, s).value
-    y1 = bessel_y(1, s).value
-    return np.array([[theta0 * j0, theta0 * y0], [-s * j1, -s * y1]])
+    return np.array(_basis(theta0))
 
 
 def fit_constants(X0, theta0: float) -> tuple[float, float]:
@@ -108,13 +122,9 @@ def eval_solution(sol: ClosedFormSolution, t: float) -> ClosedFormState:
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     theta = sol.theta0 * math.exp(-t)
-    s = abs(theta)
-    j0 = bessel_j(0, s).value
-    j1 = bessel_j(1, s).value
-    y0 = bessel_y(0, s).value
-    y1 = bessel_y(1, s).value
-    z1 = theta * (sol.c1 * j0 + sol.c2 * y0)
-    z2 = -s * (sol.c1 * j1 + sol.c2 * y1)
+    (a, b), (c, d) = _basis(theta)
+    z1 = a * sol.c1 + b * sol.c2
+    z2 = c * sol.c1 + d * sol.c2
     X = from_z_frame((z1, z2), theta)
     return ClosedFormState(theta=theta, z1=z1, z2=z2, X=X)
 
@@ -136,11 +146,10 @@ def ode_residual(sol: ClosedFormSolution, t: float, h: float = 1e-4) -> float:
     """
     if t < 2.0 * h:
         raise ValueError("need t >= 2h for central differences")
-    rho = sol.rho
     zm = eval_solution(sol, t - h).z1
     z0 = eval_solution(sol, t).z1
     zp = eval_solution(sol, t + h).z1
     d1 = (zp - zm) / (2.0 * h)
     d2 = (zp - 2.0 * z0 + zm) / (h * h)
-    theta_dot = rho * sol.theta0 * math.exp(rho * t)
-    return abs(d2 - 2.0 * rho * d1 + rho * rho * (1.0 + theta_dot * theta_dot) * z0)
+    theta_dot = RHO * sol.theta0 * math.exp(RHO * t)
+    return abs(d2 - 2.0 * RHO * d1 + RHO * RHO * (1.0 + theta_dot * theta_dot) * z0)

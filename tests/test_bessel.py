@@ -50,7 +50,7 @@ def test_y0_at_one():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_j_accuracy_against_mpmath(n):
-    for x in np.linspace(0.05, MAX_ARG, 400):
+    for x in np.linspace(0.05, 50.0, 400):
         ref = float(mp.besselj(n, float(x)))
         val = bessel_j(n, float(x)).value
         assert abs(val - ref) <= max(1e-12, 1e-12 * abs(ref))
@@ -58,14 +58,14 @@ def test_j_accuracy_against_mpmath(n):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_y_accuracy_against_mpmath(n):
-    for x in np.linspace(0.05, MAX_ARG, 400):
+    for x in np.linspace(0.05, 50.0, 400):
         ref = float(mp.bessely(n, float(x)))
         val = bessel_y(n, float(x)).value
         assert abs(val - ref) <= max(1e-12, 1e-12 * abs(ref))
 
 
 def test_error_estimate_covers_true_error():
-    for x in np.linspace(0.05, MAX_ARG, 200):
+    for x in np.linspace(0.05, 50.0, 200):
         for res, ref in [
             (bessel_j(0, float(x)), mp.besselj(0, float(x))),
             (bessel_j(1, float(x)), mp.besselj(1, float(x))),
@@ -76,15 +76,24 @@ def test_error_estimate_covers_true_error():
             assert abs(res.value - float(ref)) <= res.est_abs_error
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_hankel_range_against_mpmath(n):
+    # the asymptotic branch beyond the grids above, up to the supported range
+    for x in np.geomspace(50.0, MAX_ARG, 300):
+        x = float(x)
+        for res, ref in [
+            (bessel_j(n, x), float(mp.besselj(n, x))),
+            (bessel_y(n, x), float(mp.bessely(n, x))),
+        ]:
+            err = abs(res.value - ref)
+            assert err <= max(1e-12, 1e-12 * abs(ref))
+            assert err <= res.est_abs_error
+
+
 def test_parity():
     for x in [0.3, 1.7, 8.2, 20.0]:
         assert bessel_j(0, -x).value == bessel_j(0, x).value
         assert bessel_j(1, -x).value == -bessel_j(1, x).value
-
-
-def test_y_reflection_identity():
-    for x in [0.1, 1.0, 5.0, 30.0]:
-        assert bessel_y(-1, x).value + bessel_y(1, x).value == 0.0
 
 
 def test_y1_pole_limit():
@@ -95,7 +104,7 @@ def test_y1_pole_limit():
 
 def test_wronskian_pairing():
     # J1(x) Y0(x) - J0(x) Y1(x) = 2/(pi x)
-    for x in np.linspace(0.05, MAX_ARG, 100):
+    for x in np.linspace(0.05, 50.0, 100):
         x = float(x)
         w = bessel_j(1, x).value * bessel_y(0, x).value - (
             bessel_j(0, x).value * bessel_y(1, x).value
@@ -149,6 +158,8 @@ def test_range_and_domain_errors():
         bessel_y(0, -1.0)
     with pytest.raises(DomainError):
         bessel_j(2, 1.0)
+    with pytest.raises(DomainError):
+        bessel_y(-1, 1.0)
     with pytest.raises(DomainError):
         bessel_j(0, math.nan)
 

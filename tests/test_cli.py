@@ -111,6 +111,34 @@ def test_closed_form_export(tmp_path, capsys):
     assert rows[0, 3] == 1.0
 
 
+@pytest.mark.parametrize("t_end", ["730", "760"])
+def test_closed_form_at_vanishing_attitude(tmp_path, capsys, t_end):
+    # theta = exp(-t) is subnormal at t = 730 and 0 at t = 760
+    out = tmp_path / "cf.csv"
+    code, _, _ = run(
+        capsys, "closed-form", "--q0", "1,0.5,1", "--t-end", t_end,
+        "--sample-dt", "10", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("closed-form", "--sample-dt", "0"),
+        ("closed-form", "--sample-dt", "-1"),
+        ("closed-form", "--t-end", "-5"),
+        ("compare", "--sample-dt", "0"),
+    ],
+)
+def test_bad_sample_grid_is_invalid_config(capsys, command, flag, value):
+    code, _, err = run(capsys, command, "--q0", "1,0,1", flag, value)
+    assert code == EXIT_INVALID
+    assert flag in err
+
+
 def test_analyze_asymptotics(capsys):
     code, out, _ = run(capsys, "analyze", "--what", "asymptotics", "--q0", "1,0,1")
     assert code == EXIT_OK

@@ -51,7 +51,7 @@ class TestFitConstants:
         assert c1 == 0.0 and c2 == 0.0
 
     def test_determinant_is_wronskian(self):
-        for theta0 in [-2.5, -0.3, 0.4, 1.0, 3.0]:
+        for theta0 in [-2.5, -0.3, 0.4, 1.0, 3.0, 60.0]:
             det = np.linalg.det(basis_matrix(theta0))
             assert det == pytest.approx(2.0 * theta0 / math.pi, rel=1e-10)
 
@@ -90,9 +90,12 @@ class TestEval:
         assert abs(st_.z2) < 1e-12
 
     def test_second_kind_limit(self):
+        # at t = 720 theta is subnormal, at t = 760 it is 0
         sol = ClosedFormSolution(theta0=1.0, c1=0.0, c2=1.0)
-        st_ = eval_solution(sol, 40.0)
-        assert st_.z2 == pytest.approx(2.0 / math.pi, abs=1e-10)
+        for t in [40.0, 720.0, 760.0]:
+            st_ = eval_solution(sol, t)
+            assert np.all(np.isfinite(st_.X))
+            assert st_.z2 == pytest.approx(2.0 / math.pi, abs=1e-10)
 
     def test_z_system_consistency(self):
         # finite-difference check of z1' = rho z1 + theta' z2, z2' = -theta' z1
