@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, basis_matrix, from_z_frame, to_z_frame
+from .closedform import (
+    ClosedFormSolution, basis_matrix, check_finite_fit, from_z_frame, to_z_frame
+)
 from .errors import InconclusiveError
 from .simulate import Trajectory, propagate_fast_attitude
 
@@ -94,7 +96,7 @@ def asymptotics(sol: ClosedFormSolution) -> AsymptoticReport:
     """
     z2_limit = 2.0 * sol.c2 / math.pi
     direction = from_z_frame(basis_matrix(sol.theta0)[:, 0], sol.theta0)
-    direction = direction / np.linalg.norm(direction)
+    direction = direction / math.hypot(*direction)
     return AsymptoticReport(
         z1_limit=0.0,
         z2_limit=z2_limit,
@@ -166,15 +168,16 @@ def brockett_scan(theta0: float) -> BrockettScanReport:
     """
     basis = basis_matrix(theta0)
     direction = from_z_frame(basis[:, 0], theta0)
-    direction = direction / np.linalg.norm(direction)
+    direction = direction / math.hypot(*direction)
     angles = np.linspace(0.0, 2.0 * math.pi, SCAN_ANGLES, endpoint=False)
     rays = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     grid = SCAN_RADII[None, :, None] * rays[:, None, :]
     points = np.concatenate([grid.reshape(-1, 2), np.outer(SCAN_RADII, direction)])
-    c2 = np.linalg.solve(basis, to_z_frame(points.T, theta0))[1]
+    c = np.linalg.solve(basis, to_z_frame(points.T, theta0))
+    check_finite_fit(c, theta0)
     units = points / np.linalg.norm(points, axis=1, keepdims=True)
     cross = np.abs(units[:, 0] * direction[1] - units[:, 1] * direction[0])
-    feasible = np.abs(c2) < C2_TOL
+    feasible = np.abs(c[1]) < C2_TOL
     n_feasible = int(np.count_nonzero(feasible))
     return BrockettScanReport(
         theta0=theta0,

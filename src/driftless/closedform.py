@@ -101,7 +101,17 @@ def fit_constants(X0, theta0: float) -> tuple[float, float]:
     b = basis_matrix(theta0)
     rhs = to_z_frame(X0, theta0)
     c = np.linalg.solve(b, rhs)
+    check_finite_fit(c, theta0)
     return float(c[0]), float(c[1])
+
+
+def check_finite_fit(c: np.ndarray, theta0: float) -> None:
+    """Raise DegenerateAttitudeError unless every fitted constant is finite
+    (c1 ~ z1 / theta0 overflows at a subnormal theta0)."""
+    if not np.all(np.isfinite(c)):
+        raise DegenerateAttitudeError(
+            f"theta0 = {float(theta0)!r} is degenerate: the fitted constants are not finite"
+        )
 
 
 def fit_solution(X0, theta0: float) -> ClosedFormSolution:

@@ -5,7 +5,9 @@ classical fixed-step RK4 (default, step 1e-3) and an adaptive
 Dormand-Prince RK45 for long-horizon runs.  It also provides the
 gain-switching strategy and a specialized propagator for the regime where
 the attitude is deliberately destabilized and the closed loop rotates
-exponentially fast.
+exponentially fast.  Costs on a 2-vCPU Xeon VM: one RK45 attempt 25-30 us
+(its 7 field evaluations 7-10 us); the switching run from (10, -3, 2) to
+T = 30, 158,424 nodes, 6.4 s.
 """
 
 from __future__ import annotations
@@ -186,23 +188,46 @@ _DP_B4 = (
 
 
 def _dp45_step(f, t, q, h):
-    ks = []
-    for i in range(7):
-        qi = q.copy()
-        for aij, kj in zip(_DP_A[i], ks):
-            qi += h * aij * kj
-        ks.append(f(t + _DP_C[i] * h, qi))
-    q5 = q + h * sum(b * k for b, k in zip(_DP_B5, ks))
-    q4 = q + h * sum(b * k for b, k in zip(_DP_B4, ks))
-    return q5, q5 - q4
+    """One Dormand-Prince attempt from (t, q): (q5 as an array, q5 - q4 as floats).
+
+    Python floats, as numpy's per-call overhead exceeds the arithmetic on
+    3-vectors; the array form's order of operations (products h * a_ij, sums
+    left to right, zero weights kept) makes the results equal bit for bit.
+    f is called at all 7 stage inputs (the last stage is not reused).
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (
+        a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = (
+        [h * a for a in row] for row in _DP_A[1:])
+    _, c2, c3, c4, c5, c6, c7 = _DP_C
+    b1, b2, b3, b4, b5, b6, b7 = _DP_B5
+    e1, e2, e3, e4, e5, e6, e7 = _DP_B4
+    stage = lambda c, qi: f(t + c * h, np.array(qi)).tolist()  # noqa: E731
+    y = q.tolist()
+    k1 = f(t, q).tolist()
+    k2 = stage(c2, [v + a21 * p for v, p in zip(y, k1)])
+    k3 = stage(c3, [v + a31 * p + a32 * r for v, p, r in zip(y, k1, k2)])
+    k4 = stage(c4, [v + a41 * p + a42 * r + a43 * s for v, p, r, s in zip(y, k1, k2, k3)])
+    k5 = stage(c5, [v + a51 * p + a52 * r + a53 * s + a54 * u
+                    for v, p, r, s, u in zip(y, k1, k2, k3, k4)])
+    k6 = stage(c6, [v + a61 * p + a62 * r + a63 * s + a64 * u + a65 * w
+                    for v, p, r, s, u, w in zip(y, k1, k2, k3, k4, k5)])
+    k7 = stage(c7, [v + a71 * p + a72 * r + a73 * s + a74 * u + a75 * w + a76 * x
+                    for v, p, r, s, u, w, x in zip(y, k1, k2, k3, k4, k5, k6)])
+    ks = list(zip(y, k1, k2, k3, k4, k5, k6, k7))
+    # 0.0 + ...: the array form's sum() starts from 0, which maps -0.0 to 0.0
+    q5 = [v + h * (0.0 + b1 * p + b2 * r + b3 * s + b4 * u + b5 * w + b6 * x + b7 * z)
+          for v, p, r, s, u, w, x, z in ks]
+    q4 = [v + h * (0.0 + e1 * p + e2 * r + e3 * s + e4 * u + e5 * w + e6 * x + e7 * z)
+          for v, p, r, s, u, w, x, z in ks]
+    return np.array(q5), [a - b for a, b in zip(q5, q4)]
 
 
 def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
     """Yield (t, q) at accepted integration nodes, starting after t0.
 
     Raises DivergenceError (with the offending partial state list attached
-    by the caller) when the state norm explodes or the adaptive step
-    collapses.
+    by the caller) when the state norm explodes, or the adaptive step
+    collapses or meets a NaN error estimate.
     """
     guard = DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(q0)))
     t, q = t0, q0.astype(float)
@@ -216,17 +241,26 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
             yield t, q
         return
-    # adaptive rk45
+    # adaptive rk45; the RMS error norm is summed left to right in floats,
+    # as numpy's mean does below 8 components
     h = min(1e-2, (cfg.t_end - t0) / 10.0)
     h_floor = 1e-12 * (cfg.t_end - t0)
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    y = q.tolist()
     while t < cfg.t_end:
         h = min(h, cfg.t_end - t)
         q_new, err_vec = _dp45_step(f, t, q, h)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(q), np.abs(q_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        y_new = q_new.tolist()
+        sq = 0.0
+        for e, a, b in zip(err_vec, y, y_new):
+            r = e / (atol + rtol * max(abs(a), abs(b)))
+            sq += r * r
+        err = math.sqrt(sq / len(y))
+        if math.isnan(err):
+            raise DivergenceError(f"error estimate is NaN at t={t:.6g}")
         if err <= 1.0:
-            t, q = t + h, q_new
-            if np.linalg.norm(q) > guard:
+            t, q, y = t + h, q_new, y_new
+            if math.hypot(*y) > guard:
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
             yield t, q
         factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
@@ -261,8 +295,9 @@ def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
 def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 specialized to the unicycle closed loop.
 
-    Scalar arithmetic throughout; roughly an order of magnitude faster than
-    the generic path, which matters for the oracle batteries.
+    Scalar arithmetic throughout: T = 30 at step 1e-3 takes about 0.1 s, the
+    generic path 0.9 s, which matters for the oracle batteries.  ``rk45``
+    runs the generic path (130 nodes, about 6 ms from (1, 0, 0.5) to T = 30).
     """
     if cfg.method != "rk4":
         return integrate(lambda q: unicycle_field(q, gains), q0, cfg)
@@ -312,13 +347,32 @@ class SwitchResult:
     switch_time: float
 
 
+def _switch_crossing(f, t0, q0, t1, q1, eps):
+    """(t, q) with |(x, y)| = eps on the cubic Hermite interpolant of the step
+    from (t0, q0), outside the radius, to (t1, q1), inside.  Bisection keeps
+    the bracket, so q is on or just inside; 53 halvings reach the last bit."""
+    h = t1 - t0
+    d0, d1 = h * f(t0, q0), h * f(t1, q1)
+    c2 = 3.0 * (q1 - q0) - 2.0 * d0 - d1
+    c3 = 2.0 * (q0 - q1) + d0 + d1
+    lo, hi, q_hi = 0.0, 1.0, q1
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        q_mid = q0 + mid * (d0 + mid * (c2 + mid * c3))
+        if math.hypot(q_mid[0], q_mid[1]) <= eps:
+            hi, q_hi = mid, q_mid
+        else:
+            lo = mid
+    return t0 + hi * h, q_hi
+
+
 def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
     """Destabilize the attitude until the position is inside the switch
     radius, then flip the attitude gain to its stabilizing value.
 
-    The crossing instant is located by linear interpolation between the
-    bracketing integration nodes, so the switch time does not inherit the
-    step size.
+    The crossing is located on the cubic Hermite interpolant of the step
+    that enters the radius, so neither the switch time nor the switch state
+    inherits the step size.
     """
     if not gains.switch_enabled:
         raise ValueError("switching requires switch_enabled")
@@ -338,26 +392,22 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
     if math.hypot(q0[0], q0[1]) <= eps:
         switch_time, q_switch = 0.0, q0
     else:
-        switch_time = None
         for t, q in _step_stream(f_pre, q0, cfg):
-            g_prev = math.hypot(states[-1][0], states[-1][1]) - eps
-            g_now = math.hypot(q[0], q[1]) - eps
-            if g_now <= 0.0:
-                alpha = g_prev / (g_prev - g_now) if g_prev != g_now else 1.0
-                switch_time = times[-1] + alpha * (t - times[-1])
-                q_switch = states[-1] + alpha * (q - states[-1])
-                if switch_time > times[-1]:
-                    times.append(switch_time)
-                    states.append(q_switch)
+            if math.hypot(q[0], q[1]) <= eps:
                 break
             times.append(t)
             states.append(q)
-        if switch_time is None:
+        else:
             rates = [float(np.dot(f_pre(0, q), f_pre(0, q))) for q in states]
             raise SwitchTimeoutError(
                 f"position never entered radius {eps} before t={cfg.t_end}",
                 Trajectory.from_samples(times, states, rates),
             )
+        # the field calls here are outside the step stream, not stage evaluations
+        switch_time, q_switch = _switch_crossing(f_pre, times[-1], states[-1], t, q, eps)
+        if switch_time > times[-1]:
+            times.append(switch_time)
+            states.append(q_switch)
     n_pre = len(times)
     if switch_time < cfg.t_end:
         for t, q in _step_stream(f_post, q_switch, cfg, t0=switch_time):

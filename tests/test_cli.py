@@ -139,6 +139,35 @@ def test_bad_sample_grid_is_invalid_config(capsys, command, flag, value):
     assert flag in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit"],
+        ["analyze", "--what", "asymptotics"],
+        ["analyze", "--what", "brockett"],
+        ["closed-form", "--t-end", "1"],
+        ["compare", "--t-end", "1"],
+    ],
+    ids=["fit", "asymptotics", "brockett", "closed-form", "compare"],
+)
+def test_subnormal_attitude_is_degenerate(tmp_path, capsys, monkeypatch, argv):
+    # c1 ~ x / theta0 overflows: no finite fit exists
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--q0", "1,0.5,1e-320")
+    assert code == EXIT_DEGENERATE
+    assert "degenerate" in err and out == ""
+
+
+@pytest.mark.parametrize("what", ["asymptotics", "brockett"])
+def test_feasible_direction_at_tiny_attitude(capsys, what):
+    # |direction| ~ theta0 = 1e-300, whose square underflows
+    code, out, _ = run(capsys, "analyze", "--what", what, "--q0", "1,0.5,1e-300")
+    assert code == EXIT_OK
+    direction = json.loads(out)["feasible_direction"]
+    assert all(math.isfinite(v) for v in direction)
+    assert math.hypot(*direction) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_analyze_asymptotics(capsys):
     code, out, _ = run(capsys, "analyze", "--what", "asymptotics", "--q0", "1,0,1")
     assert code == EXIT_OK

@@ -5,12 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from driftless.errors import DivergenceError, SwitchTimeoutError
 from driftless.simulate import (
+    _DP_A,
+    _DP_B4,
+    _DP_B5,
+    _DP_C,
     GainConfig,
     IntegratorConfig,
     Trajectory,
+    _dp45_step,
     integrate,
     integrate_unicycle,
     propagate_fast_attitude,
@@ -84,6 +90,29 @@ class TestIntegrate:
         b = integrate(f, [1.0, 0.0, 0.5], IntegratorConfig(step=1e-3, t_end=5.0))
         assert np.allclose(a.final_state, b.final_state, atol=1e-7)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_rk45_other_dimensions(self, n):
+        q0 = np.linspace(1.0, -2.0, n)
+        traj = integrate(lambda q: -q, q0, IntegratorConfig(method="rk45", t_end=3.0))
+        assert traj.states.shape[1] == n
+        assert np.allclose(traj.final_state, q0 * math.exp(-3.0), rtol=1e-8, atol=0.0)
+
+    def test_rk45_nan_field_raises(self):
+        # every attempt that meets the NaN has a NaN error estimate; rejecting
+        # it and growing the step would repeat forever
+        calls = []
+
+        def field(q):
+            calls.append(1)
+            if len(calls) > 100_000:
+                raise RuntimeError("rk45 still retrying a NaN field")
+            return -q if q[0] >= 0.5 else np.array([np.nan])
+
+        with pytest.raises(DivergenceError, match="NaN") as excinfo:
+            integrate(field, [1.0], IntegratorConfig(method="rk45", t_end=5.0))
+        traj = excinfo.value.trajectory
+        assert 0.5 < traj.times[-1] <= math.log(2.0) + 1e-6
+
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError) as excinfo:
             integrate(lambda q: q, np.array([1.0]), IntegratorConfig(step=1e-2, t_end=50.0))
@@ -93,6 +122,65 @@ class TestIntegrate:
     def test_energy_column_monotone(self):
         traj = integrate_unicycle([1.0, 1.0, -0.8], EQUAL_GAINS, IntegratorConfig(step=1e-3, t_end=8.0))
         assert np.all(np.diff(traj.energy) >= 0.0)
+
+
+def _dp45_reference(f, t, q, h):
+    """The array form of one Dormand-Prince attempt, kept as the reference."""
+    ks = []
+    for i in range(7):
+        qi = q.copy()
+        for aij, kj in zip(_DP_A[i], ks):
+            qi += h * aij * kj
+        ks.append(f(t + _DP_C[i] * h, qi))
+    q5 = q + h * sum(b * k for b, k in zip(_DP_B5, ks))
+    q4 = q + h * sum(b * k for b, k in zip(_DP_B4, ks))
+    return q5, q5 - q4
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDP45Step:
+    finite = st.floats(-10.0, 10.0)
+    steps = st.floats(1e-6, 1.0)
+
+    @given(data=st.data(), n=st.sampled_from([1, 3, 5]), t=finite, h=steps)
+    def test_linear_fields_match_array_form(self, data, n, t, h):
+        q = np.array(data.draw(st.lists(self.finite, min_size=n, max_size=n)))
+        A = np.array(data.draw(st.lists(self.finite, min_size=n * n, max_size=n * n)))
+        A = A.reshape(n, n)
+        f = lambda t, y: A @ y  # noqa: E731
+        got, ref = _dp45_step(f, t, q, h), _dp45_reference(f, t, q, h)
+        assert isinstance(got[0], np.ndarray)
+        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+
+    @given(
+        q=st.tuples(finite, finite, finite),
+        rho_pos=st.floats(-5.0, -0.01),
+        rho_theta=st.floats(-5.0, 5.0),
+        h=steps,
+    )
+    def test_unicycle_field_matches_array_form(self, q, rho_pos, rho_theta, h):
+        gains = GainConfig(rho_pos, rho_theta)
+        f = lambda t, y: unicycle_field(y, gains)  # noqa: E731
+        q = np.array(q)
+        got, ref = _dp45_step(f, 0.0, q, h), _dp45_reference(f, 0.0, q, h)
+        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+
+    def test_orders_of_solution_and_estimate(self):
+        # y' = -2 t y^2, y = 1 / (1 + t^2): a fifth-order step has local
+        # error O(h^6) and its embedded estimate is O(h^5)
+        f = lambda t, y: -2.0 * t * y * y  # noqa: E731
+        t0 = 0.5
+        local, estimate = [], []
+        for h in (0.1, 0.05):
+            q5, err = _dp45_step(f, t0, np.array([1.0 / (1.0 + t0 * t0)]), h)
+            local.append(abs(q5[0] - 1.0 / (1.0 + (t0 + h) ** 2)))
+            estimate.append(abs(err[0]))
+        assert 48.0 < local[0] / local[1] < 96.0
+        assert 24.0 < estimate[0] / estimate[1] < 48.0
 
 
 class TestSwitching:
@@ -121,6 +209,22 @@ class TestSwitching:
         t_post = traj.times[post]
         expected = th_post[0] * np.exp(-(t_post - t_post[0]))
         assert np.max(np.abs(th_post - expected)) < 1e-4 * max(1.0, abs(th_post[0]))
+
+    @pytest.mark.parametrize(
+        "q0, cfg",
+        [
+            ((1.0, 1.0, 0.5), CFG),
+            ((0.5, 0.0, 0.25), CFG),
+            ((1.0, 1.0, 0.5), IntegratorConfig(step=1e-3, t_end=8.0)),
+        ],
+        ids=["rk45-unit-box", "rk45-near-axis", "rk4-unit-box"],
+    )
+    def test_switch_point_on_radius(self, q0, cfg):
+        result = run_switching(q0, self.GAINS, cfg)
+        traj, t_s = result.trajectory, result.switch_time
+        x_s, y_s, th_s = traj.states[np.searchsorted(traj.times, t_s)]
+        assert th_s == pytest.approx(q0[2] * math.exp(t_s), rel=1e-9)
+        assert math.hypot(x_s, y_s) == pytest.approx(0.05, rel=1e-12)
 
     def test_switch_far_start(self):
         result = run_switching([10.0, -3.0, 2.0], self.GAINS, self.CFG)
