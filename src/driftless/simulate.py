@@ -5,9 +5,10 @@ classical fixed-step RK4 (default, step 1e-3) and an adaptive
 Dormand-Prince RK45 for long-horizon runs.  It also provides the
 gain-switching strategy and a specialized propagator for the regime where
 the attitude is deliberately destabilized and the closed loop rotates
-exponentially fast.  Costs on a 2-vCPU Xeon VM: one RK45 attempt 25-30 us
-(its 7 field evaluations 7-10 us); the switching run from (10, -3, 2) to
-T = 30, 158,424 nodes, 6.4 s.
+exponentially fast.  The closed loop is written once, as the float function
+_unicycle_rhs, and the steppers carry lists of Python floats.  Costs on a
+2-vCPU Xeon VM: one RK45 attempt about 22 us (its 7 field evaluations about
+4 us); the switching run from (10, -3, 2) to T = 30, 158,424 nodes, 3.7-5.2 s.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from .bessel import MAX_ARG
 from .core import VectorFieldSet, as_state
-from .errors import DivergenceError, SwitchTimeoutError
+from .errors import DivergenceError, RangeError, SwitchTimeoutError
 
 DIVERGENCE_FACTOR = 1e6
 # propagate_fast_attitude: time stepping below |theta| = FAST_SPLIT, attitude
@@ -71,12 +73,16 @@ class IntegratorConfig:
             raise ValueError("t_end must be positive")
 
 
-def unicycle_field(q, gains: GainConfig) -> np.ndarray:
-    """Closed-loop unicycle derivative (x_c', y_c', theta')."""
-    x, y, th = float(q[0]), float(q[1]), float(q[2])
+def _unicycle_rhs(x, y, th, rho_pos, rho_theta):
+    """Closed-loop unicycle derivative (x_c', y_c', theta') in Python floats."""
     c, s = math.cos(th), math.sin(th)
-    forward = gains.rho_pos * (c * x + s * y)
-    return np.array([c * forward, s * forward, gains.rho_theta * th])
+    forward = rho_pos * (c * x + s * y)
+    return c * forward, s * forward, rho_theta * th
+
+
+def unicycle_field(q, gains: GainConfig) -> tuple[float, float, float]:
+    """The closed-loop field at any 3-sequence q, as 3 floats."""
+    return _unicycle_rhs(float(q[0]), float(q[1]), float(q[2]), gains.rho_pos, gains.rho_theta)
 
 
 def unicycle_field_set() -> VectorFieldSet:
@@ -157,11 +163,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _rk4_step(f, t, q, h):
+    hh = 0.5 * h
     k1 = f(t, q)
-    k2 = f(t + 0.5 * h, q + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, q + 0.5 * h * k2)
-    k4 = f(t + h, q + h * k3)
-    return q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + hh, [v + hh * k for v, k in zip(q, k1)])
+    k3 = f(t + hh, [v + hh * k for v, k in zip(q, k2)])
+    k4 = f(t + h, [v + h * k for v, k in zip(q, k3)])
+    return [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(q, k1, k2, k3, k4)]
 
 
 # Dormand-Prince 5(4) tableau
@@ -188,7 +195,7 @@ _DP_B4 = (
 
 
 def _dp45_step(f, t, q, h):
-    """One Dormand-Prince attempt from (t, q): (q5 as an array, q5 - q4 as floats).
+    """One Dormand-Prince attempt from (t, q): (q5, q5 - q4) as lists of floats.
 
     Python floats, as numpy's per-call overhead exceeds the arithmetic on
     3-vectors; the array form's order of operations (products h * a_ij, sums
@@ -201,43 +208,41 @@ def _dp45_step(f, t, q, h):
     _, c2, c3, c4, c5, c6, c7 = _DP_C
     b1, b2, b3, b4, b5, b6, b7 = _DP_B5
     e1, e2, e3, e4, e5, e6, e7 = _DP_B4
-    stage = lambda c, qi: f(t + c * h, np.array(qi)).tolist()  # noqa: E731
-    y = q.tolist()
-    k1 = f(t, q).tolist()
-    k2 = stage(c2, [v + a21 * p for v, p in zip(y, k1)])
-    k3 = stage(c3, [v + a31 * p + a32 * r for v, p, r in zip(y, k1, k2)])
-    k4 = stage(c4, [v + a41 * p + a42 * r + a43 * s for v, p, r, s in zip(y, k1, k2, k3)])
-    k5 = stage(c5, [v + a51 * p + a52 * r + a53 * s + a54 * u
-                    for v, p, r, s, u in zip(y, k1, k2, k3, k4)])
-    k6 = stage(c6, [v + a61 * p + a62 * r + a63 * s + a64 * u + a65 * w
-                    for v, p, r, s, u, w in zip(y, k1, k2, k3, k4, k5)])
-    k7 = stage(c7, [v + a71 * p + a72 * r + a73 * s + a74 * u + a75 * w + a76 * x
-                    for v, p, r, s, u, w, x in zip(y, k1, k2, k3, k4, k5, k6)])
-    ks = list(zip(y, k1, k2, k3, k4, k5, k6, k7))
+    k1 = f(t, q)
+    k2 = f(t + c2 * h, [v + a21 * p for v, p in zip(q, k1)])
+    k3 = f(t + c3 * h, [v + a31 * p + a32 * r for v, p, r in zip(q, k1, k2)])
+    k4 = f(t + c4 * h, [v + a41 * p + a42 * r + a43 * s for v, p, r, s in zip(q, k1, k2, k3)])
+    k5 = f(t + c5 * h, [v + a51 * p + a52 * r + a53 * s + a54 * u
+                        for v, p, r, s, u in zip(q, k1, k2, k3, k4)])
+    k6 = f(t + c6 * h, [v + a61 * p + a62 * r + a63 * s + a64 * u + a65 * w
+                        for v, p, r, s, u, w in zip(q, k1, k2, k3, k4, k5)])
+    k7 = f(t + c7 * h, [v + a71 * p + a72 * r + a73 * s + a74 * u + a75 * w + a76 * x
+                        for v, p, r, s, u, w, x in zip(q, k1, k2, k3, k4, k5, k6)])
+    ks = list(zip(q, k1, k2, k3, k4, k5, k6, k7))
     # 0.0 + ...: the array form's sum() starts from 0, which maps -0.0 to 0.0
     q5 = [v + h * (0.0 + b1 * p + b2 * r + b3 * s + b4 * u + b5 * w + b6 * x + b7 * z)
           for v, p, r, s, u, w, x, z in ks]
     q4 = [v + h * (0.0 + e1 * p + e2 * r + e3 * s + e4 * u + e5 * w + e6 * x + e7 * z)
           for v, p, r, s, u, w, x, z in ks]
-    return np.array(q5), [a - b for a, b in zip(q5, q4)]
+    return q5, [a - b for a, b in zip(q5, q4)]
 
 
 def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
-    """Yield (t, q) at accepted integration nodes, starting after t0.
+    """Yield (t, q), q a new list of floats, at accepted nodes after t0.
 
-    Raises DivergenceError (with the offending partial state list attached
-    by the caller) when the state norm explodes, or the adaptive step
-    collapses or meets a NaN error estimate.
+    f(t, q) maps a float list to a float sequence.  Raises DivergenceError
+    (with the partial trajectory attached by the caller) when the state norm
+    explodes, or the adaptive step collapses or meets a NaN error estimate.
     """
     guard = DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(q0)))
-    t, q = t0, q0.astype(float)
+    t, q = t0, [float(v) for v in q0]
     if cfg.method == "rk4":
         n_steps = max(1, int(round((cfg.t_end - t0) / cfg.step)))
         h = (cfg.t_end - t0) / n_steps
         for i in range(1, n_steps + 1):
             q = _rk4_step(f, t, q, h)
             t = t0 + i * h
-            if np.linalg.norm(q) > guard:
+            if math.hypot(*q) > guard:
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
             yield t, q
         return
@@ -246,21 +251,19 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
     h = min(1e-2, (cfg.t_end - t0) / 10.0)
     h_floor = 1e-12 * (cfg.t_end - t0)
     atol, rtol = cfg.abs_tol, cfg.rel_tol
-    y = q.tolist()
     while t < cfg.t_end:
         h = min(h, cfg.t_end - t)
         q_new, err_vec = _dp45_step(f, t, q, h)
-        y_new = q_new.tolist()
         sq = 0.0
-        for e, a, b in zip(err_vec, y, y_new):
+        for e, a, b in zip(err_vec, q, q_new):
             r = e / (atol + rtol * max(abs(a), abs(b)))
             sq += r * r
-        err = math.sqrt(sq / len(y))
+        err = math.sqrt(sq / len(q))
         if math.isnan(err):
             raise DivergenceError(f"error estimate is NaN at t={t:.6g}")
         if err <= 1.0:
-            t, q, y = t + h, q_new, y_new
-            if math.hypot(*y) > guard:
+            t, q = t + h, q_new
+            if math.hypot(*q) > guard:
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
             yield t, q
         factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
@@ -269,19 +272,21 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
             raise DivergenceError(f"adaptive step collapsed below floor at t={t:.6g}")
 
 
+def _rates(f, states):
+    """Squared speeds |f(q)|^2, the energy integrand, at the given states."""
+    return [float(np.dot(d, d)) for d in (np.array(f(0.0, q)) for q in states)]
+
+
 def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate q' = field_fn(q) from q0 over [0, t_end].
 
     ``field_fn`` takes the state vector only (autonomous closed loops).
     """
     q0 = as_state(q0)
-    f = lambda t, q: np.asarray(field_fn(q), float)
+    # the steppers carry lists of floats; field_fn takes and returns arrays
+    f = lambda t, q: np.asarray(field_fn(np.array(q, float)), float).tolist()
     times, states = [0.0], [q0]
-
-    def trajectory():
-        rates = [float(np.dot(d, d)) for d in (f(0.0, q) for q in states)]
-        return Trajectory.from_samples(times, states, rates)
-
+    trajectory = lambda: Trajectory.from_samples(times, states, _rates(f, states))
     try:
         for t, q in _step_stream(f, q0, cfg):
             times.append(t)
@@ -295,37 +300,31 @@ def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
 def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 specialized to the unicycle closed loop.
 
-    Scalar arithmetic throughout: T = 30 at step 1e-3 takes about 0.1 s, the
-    generic path 0.9 s, which matters for the oracle batteries.  ``rk45``
-    runs the generic path (130 nodes, about 6 ms from (1, 0, 0.5) to T = 30).
+    Scalar arithmetic throughout: T = 30 at step 1e-3 takes 0.06-0.07 s, the
+    generic path (``integrate``, an array field) 0.6-0.7 s, which matters for
+    the oracle batteries.  ``rk45`` runs the generic path (about 130 nodes,
+    4-6 ms from (1, 0, 0.5) to T = 30).
     """
     if cfg.method != "rk4":
         return integrate(lambda q: unicycle_field(q, gains), q0, cfg)
     q0 = as_state(q0)
     if q0.shape != (3,):
         raise ValueError("unicycle state must have 3 entries")
-    rp, rt = gains.rho_pos, gains.rho_theta
-    cos, sin = math.cos, math.sin
-
-    def rhs(x, y, th):
-        c, s = cos(th), sin(th)
-        fwd = rp * (c * x + s * y)
-        return c * fwd, s * fwd, rt * th
-
+    rhs, rp, rt = _unicycle_rhs, gains.rho_pos, gains.rho_theta
     n_steps = max(1, int(round(cfg.t_end / cfg.step)))
     h = cfg.t_end / n_steps
     guard = DIVERGENCE_FACTOR * max(1.0, math.sqrt(float(q0 @ q0)))
     x, y, th = float(q0[0]), float(q0[1]), float(q0[2])
     times = [0.0]
     states = [(x, y, th)]
-    ax, ay, at = rhs(x, y, th)
+    ax, ay, at = rhs(x, y, th, rp, rt)
     rates = [ax * ax + ay * ay + at * at]
     for i in range(1, n_steps + 1):
         # (ax, ay, at) is the field at the current node: the rate stored
         # for it and this step's first stage
-        bx, by, bt = rhs(x + 0.5 * h * ax, y + 0.5 * h * ay, th + 0.5 * h * at)
-        cx, cy, ct = rhs(x + 0.5 * h * bx, y + 0.5 * h * by, th + 0.5 * h * bt)
-        dx, dy, dt_ = rhs(x + h * cx, y + h * cy, th + h * ct)
+        bx, by, bt = rhs(x + 0.5 * h * ax, y + 0.5 * h * ay, th + 0.5 * h * at, rp, rt)
+        cx, cy, ct = rhs(x + 0.5 * h * bx, y + 0.5 * h * by, th + 0.5 * h * bt, rp, rt)
+        dx, dy, dt_ = rhs(x + h * cx, y + h * cy, th + h * ct, rp, rt)
         x += (h / 6.0) * (ax + 2.0 * bx + 2.0 * cx + dx)
         y += (h / 6.0) * (ay + 2.0 * by + 2.0 * cy + dy)
         th += (h / 6.0) * (at + 2.0 * bt + 2.0 * ct + dt_)
@@ -336,7 +335,7 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
             )
         times.append(i * h)
         states.append((x, y, th))
-        ax, ay, at = rhs(x, y, th)
+        ax, ay, at = rhs(x, y, th, rp, rt)
         rates.append(ax * ax + ay * ay + at * at)
     return Trajectory.from_samples(times, states, rates)
 
@@ -352,7 +351,8 @@ def _switch_crossing(f, t0, q0, t1, q1, eps):
     from (t0, q0), outside the radius, to (t1, q1), inside.  Bisection keeps
     the bracket, so q is on or just inside; 53 halvings reach the last bit."""
     h = t1 - t0
-    d0, d1 = h * f(t0, q0), h * f(t1, q1)
+    q0, q1 = np.asarray(q0, float), np.asarray(q1, float)
+    d0, d1 = h * np.array(f(t0, q0)), h * np.array(f(t1, q1))
     c2 = 3.0 * (q1 - q0) - 2.0 * d0 - d1
     c3 = 2.0 * (q0 - q1) + d0 + d1
     lo, hi, q_hi = 0.0, 1.0, q1
@@ -398,10 +398,9 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
             times.append(t)
             states.append(q)
         else:
-            rates = [float(np.dot(f_pre(0, q), f_pre(0, q))) for q in states]
             raise SwitchTimeoutError(
                 f"position never entered radius {eps} before t={cfg.t_end}",
-                Trajectory.from_samples(times, states, rates),
+                Trajectory.from_samples(times, states, _rates(f_pre, states)),
             )
         # the field calls here are outside the step stream, not stage evaluations
         switch_time, q_switch = _switch_crossing(f_pre, times[-1], states[-1], t, q, eps)
@@ -414,8 +413,7 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
             times.append(t)
             states.append(q)
     # integrand per segment; the field (hence the rate) jumps at the switch
-    rates = [float(np.dot(d, d)) for d in (f_pre(0, q) for q in states[:n_pre])]
-    rates += [float(np.dot(d, d)) for d in (f_post(0, q) for q in states[n_pre:])]
+    rates = _rates(f_pre, states[:n_pre]) + _rates(f_post, states[n_pre:])
     return SwitchResult(Trajectory.from_samples(times, states, rates), switch_time)
 
 
@@ -506,16 +504,19 @@ def propagate_fast_attitude(
     """
     if not rho_theta > 0.0:
         raise ValueError("this propagator is for growing attitude (rho_theta > 0)")
-    X = np.asarray(X0, float).copy()
-    out_t, out_X = [0.0], [X.copy()]
-
     s0 = abs(theta0)
+    # the cost grows with |theta(t_end)|; stop where the closed forms stop
+    t_max = max(0.0, math.log(MAX_ARG / s0) / rho_theta) if s0 > 0.0 else math.inf
+    if t_end > t_max:
+        raise RangeError(f"horizon {t_end:g} too long: |theta0| exp(rho_theta t) "
+                         f"exceeds {MAX_ARG:g} beyond t = {t_max:.6g}")
+    X = np.asarray(X0, float).tolist()
+    out_t, out_X = [0.0], [X]
     sign = 1.0 if theta0 >= 0.0 else -1.0
-    t1 = t_end if s0 == 0.0 or s0 >= FAST_SPLIT else min(
-        t_end, math.log(FAST_SPLIT / s0) / rho_theta
-    )
     if s0 >= FAST_SPLIT:
         t1 = 0.0
+    else:
+        t1 = min(t_end, math.log(FAST_SPLIT / s0) / rho_theta) if s0 > 0.0 else t_end
 
     if t1 > 0.0:
         n_steps = max(1, int(math.ceil(t1 / FAST_STEP_T)))
@@ -523,18 +524,13 @@ def propagate_fast_attitude(
         sample_every = max(1, n_steps // FAST_SAMPLES)
 
         def rhs(t, Xv):
-            th = theta0 * math.exp(rho_theta * t)
-            c, s = math.cos(th), math.sin(th)
-            fwd = rho_pos * (c * Xv[0] + s * Xv[1])
-            return np.array([c * fwd, s * fwd])
+            return _unicycle_rhs(*Xv, theta0 * math.exp(rho_theta * t), rho_pos, rho_theta)[:2]
 
-        t = 0.0
         for i in range(1, n_steps + 1):
-            X = _rk4_step(rhs, t, X, h)
-            t = i * h
+            X = _rk4_step(rhs, (i - 1) * h, X, h)
             if i % sample_every == 0 or i == n_steps:
-                out_t.append(t)
-                out_X.append(X.copy())
+                out_t.append(i * h)
+                out_X.append(X)
     if t1 >= t_end:
         return np.array(out_t), np.array(out_X)
 
@@ -557,5 +553,5 @@ def propagate_fast_attitude(
             s_lo = s_hi
             done += n
         out_t.append(math.log(hi / s0) / rho_theta)
-        out_X.append(X.copy())
+        out_X.append(X)
     return np.array(out_t), np.array(out_X)

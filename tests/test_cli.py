@@ -15,6 +15,8 @@ from driftless.cli import (
     EXIT_TIMEOUT,
     main,
 )
+from driftless import simulate
+from driftless.simulate import GainConfig, IntegratorConfig, integrate_unicycle
 
 
 def run(capsys, *argv):
@@ -173,6 +175,55 @@ def test_analyze_asymptotics(capsys):
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["x_infinity"][0] == 0.0
+
+
+@pytest.mark.parametrize("what", ["asymptotics", "brockett"])
+@pytest.mark.parametrize(
+    "rho_pos, rho_theta", [("-2", "-0.5"), ("1", "1"), ("-1", "1"), ("0", "0")]
+)
+def test_analyze_closed_form_rejects_other_gains(capsys, what, rho_pos, rho_theta):
+    # the limits are those of rho = -1; other gain pairs have other limits or none
+    code, out, err = run(
+        capsys, "analyze", "--what", what, "--q0", "1,0,1",
+        "--rho-pos", rho_pos, "--rho-theta", rho_theta,
+    )
+    assert code == EXIT_INVALID and out == ""
+    assert f"--rho-pos {rho_pos}" in err and f"--rho-theta {rho_theta}" in err
+
+
+@pytest.mark.parametrize("what", ["asymptotics", "brockett"])
+def test_analyze_equal_negative_gains_give_default_report(capsys, what):
+    argv = ["analyze", "--what", what, "--q0", "1,0,1"]
+    code, default, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, *argv, "--rho-pos", "-3", "--rho-theta", "-3")
+    assert code == EXIT_OK and out == default
+
+
+def test_compare_rk45_checks_every_node(capsys):
+    cfg = IntegratorConfig(method="rk45", t_end=10.0)
+    nodes = len(integrate_unicycle([1.0, 0.0, 1.0], GainConfig(-1.0, -1.0), cfg).times)
+    code, out, _ = run(
+        capsys, "compare", "--q0", "1,0,1", "--method", "rk45", "--t-end", "10",
+        "--sample-dt", "0.05",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["n_samples"] == nodes > 100
+
+
+def test_rho_positive_horizon_beyond_range_is_invalid(capsys, monkeypatch):
+    # |theta| = 0.5 e^30 = 5.3e12; the propagator would run for months, so
+    # the attitude-clock phase must not start
+    def never(*args):
+        raise RuntimeError("attitude-clock phase started")
+
+    monkeypatch.setattr(simulate, "_rotation_chunk_propagator", never)
+    code, out, err = run(
+        capsys, "analyze", "--what", "rho-positive", "--q0", "1,0,0.5", "--rho-theta", "1"
+    )
+    assert code == EXIT_INVALID and out == ""
+    t_max = math.log(1e8 / 0.5)
+    assert f"t = {t_max:.6g}" in err
 
 
 def test_analyze_stability_pass(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from driftless.core import closed_loop_field
 from driftless.errors import DivergenceError, SwitchTimeoutError
 from driftless.simulate import (
     _DP_A,
@@ -22,6 +23,7 @@ from driftless.simulate import (
     propagate_fast_attitude,
     run_switching,
     unicycle_field,
+    unicycle_field_set,
 )
 
 EQUAL_GAINS = GainConfig(-1.0, -1.0)
@@ -39,6 +41,19 @@ class TestUnicycleField:
     def test_diagonal(self):
         qdot = unicycle_field([1.0, 1.0, math.pi / 4], EQUAL_GAINS)
         assert np.allclose(qdot, [-1.0, -1.0, -math.pi / 4])
+
+    @given(
+        q=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+        rho=st.floats(-10.0, 10.0, allow_subnormal=False),
+    )
+    def test_matches_definitional_closed_loop(self, q, rho):
+        # core's oracle: q' = rho * S (S' q) with the unicycle's two columns;
+        # a subnormal rho would leave a bound below one unit of rounding
+        got = unicycle_field(q, GainConfig(rho, rho))
+        ref = closed_loop_field(q, unicycle_field_set(), rho)
+        assert all(type(v) is float for v in got)
+        bound = 1e-15 * abs(rho) * (1.0 + math.hypot(*q))
+        assert np.max(np.abs(np.array(got) - ref)) <= bound
 
     def test_split_gains(self):
         g = GainConfig(rho_pos=-2.0, rho_theta=0.5)
@@ -81,7 +96,9 @@ class TestIntegrate:
         cfg = IntegratorConfig(step=1e-3, t_end=3.0)
         fast = integrate_unicycle([1.0, 0.3, 0.9], EQUAL_GAINS, cfg)
         slow = integrate(lambda q: unicycle_field(q, EQUAL_GAINS), [1.0, 0.3, 0.9], cfg)
-        assert np.allclose(fast.states, slow.states, atol=1e-12)
+        assert np.array_equal(fast.times, slow.times)
+        assert np.array_equal(fast.states, slow.states)
+        # the generic path sums the squared speed with np.dot
         assert np.allclose(fast.energy, slow.energy, atol=1e-12)
 
     def test_rk45_matches_rk4(self):
@@ -152,8 +169,9 @@ class TestDP45Step:
         A = np.array(data.draw(st.lists(self.finite, min_size=n * n, max_size=n * n)))
         A = A.reshape(n, n)
         f = lambda t, y: A @ y  # noqa: E731
-        got, ref = _dp45_step(f, t, q, h), _dp45_reference(f, t, q, h)
-        assert isinstance(got[0], np.ndarray)
+        f_floats = lambda t, y: f(t, np.array(y)).tolist()  # noqa: E731
+        got, ref = _dp45_step(f_floats, t, q.tolist(), h), _dp45_reference(f, t, q, h)
+        assert all(type(v) is float for part in got for v in part)
         assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
 
     @given(
@@ -165,18 +183,19 @@ class TestDP45Step:
     def test_unicycle_field_matches_array_form(self, q, rho_pos, rho_theta, h):
         gains = GainConfig(rho_pos, rho_theta)
         f = lambda t, y: unicycle_field(y, gains)  # noqa: E731
-        q = np.array(q)
-        got, ref = _dp45_step(f, 0.0, q, h), _dp45_reference(f, 0.0, q, h)
+        f_array = lambda t, y: np.array(f(t, y))  # noqa: E731
+        got, ref = _dp45_step(f, 0.0, list(q), h), _dp45_reference(f_array, 0.0, np.array(q), h)
+        assert all(type(v) is float for part in got for v in part)
         assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
 
     def test_orders_of_solution_and_estimate(self):
         # y' = -2 t y^2, y = 1 / (1 + t^2): a fifth-order step has local
         # error O(h^6) and its embedded estimate is O(h^5)
-        f = lambda t, y: -2.0 * t * y * y  # noqa: E731
+        f = lambda t, y: [-2.0 * t * y[0] * y[0]]  # noqa: E731
         t0 = 0.5
         local, estimate = [], []
         for h in (0.1, 0.05):
-            q5, err = _dp45_step(f, t0, np.array([1.0 / (1.0 + t0 * t0)]), h)
+            q5, err = _dp45_step(f, t0, [1.0 / (1.0 + t0 * t0)], h)
             local.append(abs(q5[0] - 1.0 / (1.0 + (t0 + h) ** 2)))
             estimate.append(abs(err[0]))
         assert 48.0 < local[0] / local[1] < 96.0
