@@ -213,9 +213,9 @@ def test_compare_rk45_checks_every_node(capsys):
 
 def test_rho_positive_horizon_beyond_range_is_invalid(capsys, monkeypatch):
     # |theta| = 0.5 e^30 = 5.3e12; the propagator would run for months, so
-    # the attitude-clock phase must not start
+    # no transition product may be built
     def never(*args):
-        raise RuntimeError("attitude-clock phase started")
+        raise RuntimeError("propagation started")
 
     monkeypatch.setattr(simulate, "_rotation_chunk_propagator", never)
     code, out, err = run(
@@ -224,6 +224,34 @@ def test_rho_positive_horizon_beyond_range_is_invalid(capsys, monkeypatch):
     assert code == EXIT_INVALID and out == ""
     t_max = math.log(1e8 / 0.5)
     assert f"t = {t_max:.6g}" in err
+
+
+@pytest.mark.parametrize("rho_pos", [-1e9, -1e308])
+def test_rho_positive_step_budget_is_invalid(capsys, monkeypatch, rho_pos):
+    # |rho_pos| dt <= 1e-3 would take 1e12 steps or more to t = 1
+    def never(*args):
+        raise RuntimeError("propagation started")
+
+    monkeypatch.setattr(simulate, "_rotation_chunk_propagator", never)
+    code, out, err = run(
+        capsys, "analyze", "--what", "rho-positive", f"--rho-pos={rho_pos!r}",
+        "--rho-theta", "1", "--q0", "1,0,0.5", "--t-end", "1",
+    )
+    assert code == EXIT_INVALID and out == ""
+    assert f"rho_pos = {rho_pos:g}" in err
+
+
+def test_rho_positive_stiff_gain_ratio_decays(capsys):
+    # rho_pos / rho_theta = -1000: a step bounded only by the attitude turn
+    # leaves RK4's stability interval; RK45 gives |X(0.5)| = 0.18189
+    code, out, _ = run(
+        capsys, "analyze", "--what", "rho-positive", "--rho-pos", "-1000",
+        "--rho-theta", "1", "--q0", "1,0,40", "--t-end", "0.5",
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["position_decays"]
+    assert report["position_norms"][-1] == pytest.approx(0.1818938296, rel=1e-8)
 
 
 def test_analyze_stability_pass(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,23 @@ class TestSwitching:
             run_switching([1.0, 1.0, 0.5], self.GAINS, cfg)
         assert excinfo.value.trajectory is not None
 
+    @pytest.mark.parametrize(
+        "radius, rho_after, step, diverged_at",
+        [(1e-9, -1.0, 0.5, 15.0), (0.05, -20.0, 0.2, 7.95242)],
+        ids=["before-switch", "after-switch"],
+    )
+    def test_divergence_keeps_partial_trajectory(self, radius, rho_after, step, diverged_at):
+        # before the switch the attitude, 0.5 e^t, passes the guard as the
+        # radius 1e-9 is never reached; after it the stabilizing gain -20 puts
+        # h = 0.2 outside RK4's stability interval (|z| = 4)
+        gains = GainConfig(-1.0, 1.0, switch_enabled=True, switch_radius=radius,
+                           rho_theta_after_switch=rho_after)
+        with pytest.raises(DivergenceError, match=f"guard at t={diverged_at:g}") as excinfo:
+            run_switching([1.0, 1.0, 0.5], gains, IntegratorConfig(step=step, t_end=30.0))
+        traj = excinfo.value.trajectory
+        assert traj is not None and traj.times[-1] < diverged_at
+        assert np.all(np.isfinite(traj.energy)) and np.all(np.diff(traj.energy) >= 0.0)
+
     def test_precondition_checks(self):
         with pytest.raises(ValueError):
             run_switching([1, 1, 0.5], GainConfig(-1.0, 1.0), self.CFG)
@@ -265,21 +283,37 @@ class TestSwitching:
 
 
 class TestFastAttitudePropagator:
-    def test_matches_adaptive_oracle_on_short_horizon(self):
-        ts, Xs = propagate_fast_attitude([1.0, 0.0], 0.5, -1.0, 1.0, 8.0)
-        f = lambda q: unicycle_field(q, GainConfig(-1.0, 1.0))
-        ref = integrate(f, [1.0, 0.0, 0.5], IntegratorConfig(method="rk45", t_end=8.0))
+    @pytest.mark.parametrize(
+        "q0, rho_pos, t_end",
+        [
+            ((1.0, 0.0, 0.5), -1.0, 8.0),
+            ((0.5, -0.5, -0.7), -1.0, 8.0),
+            ((1.0, 0.0, 0.5), -0.3, 8.0),
+            ((1.0, 0.0, 40.0), -1000.0, 0.5),
+            ((1.0, 0.0, 0.01), -1e-7, 8.0),
+        ],
+        ids=["paper-gains", "negative-attitude", "weak-position-gain", "stiff", "tiny-position-gain"],
+    )
+    def test_matches_adaptive_oracle_on_short_horizon(self, q0, rho_pos, t_end):
+        ts, Xs = propagate_fast_attitude(q0[:2], q0[2], rho_pos, 1.0, t_end)
+        f = lambda q: unicycle_field(q, GainConfig(rho_pos, 1.0))
+        ref = integrate(f, q0, IntegratorConfig(method="rk45", t_end=t_end))
+        assert ts[-1] == t_end
         assert np.allclose(Xs[-1], ref.final_state[:2], atol=1e-6)
 
     def test_zero_position_invariant(self):
         _, Xs = propagate_fast_attitude([0.0, 0.0], 0.5, -1.0, 1.0, 10.0)
         assert np.all(Xs == 0.0)
 
-    def test_negative_attitude_sign_handling(self):
-        ts, Xs = propagate_fast_attitude([0.5, -0.5], -0.7, -1.0, 1.0, 8.0)
-        f = lambda q: unicycle_field(q, GainConfig(-1.0, 1.0))
-        ref = integrate(f, [0.5, -0.5, -0.7], IntegratorConfig(method="rk45", t_end=8.0))
-        assert np.allclose(Xs[-1], ref.final_state[:2], atol=1e-6)
+    @pytest.mark.parametrize("theta0", [0.0, 1e-320, -1e-300])
+    def test_tiny_attitude_follows_straight_line(self, theta0):
+        # theta stays below one rounding unit of 1, so the closed loop is the
+        # theta = 0 one: x decays at rate rho_pos and y is frozen
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts, Xs = propagate_fast_attitude([1.0, -0.5], theta0, -1.0, 1.0, 10.0)
+        expected = np.stack([np.exp(-ts), np.full_like(ts, -0.5)], axis=1)
+        assert np.allclose(Xs, expected, rtol=0.0, atol=1e-12)
 
 
 class TestTrajectoryIO:
