@@ -1,11 +1,12 @@
 """Bessel functions J0, J1, Y0, Y1 in double precision.
 
 Two evaluation branches, following the classical treatment (Abramowitz &
-Stegun ch. 9, DLMF ch. 10), each returning J_n and Y_n together:
+Stegun ch. 9, DLMF ch. 10), each returning both orders from one pass:
 
-* ascending power series for |x| <= SERIES_CUTOFF, accumulated in extended
+* ascending power series for |x| <= SERIES_CUTOFF, summed in extended
   precision (numpy longdouble) so the alternating-series cancellation near
-  the cutoff stays below the 1e-12 accuracy budget;
+  the cutoff (terms of 3e4 for a sum of 0.1) stays below the 1e-12 accuracy
+  budget;
 * Hankel asymptotic expansion (P/Q modulus-phase form) beyond the cutoff,
   truncated at the smallest term.
 
@@ -46,57 +47,69 @@ class EvalResult:
             raise ValueError("est_abs_error must be nonnegative")
 
 
-def _check_range(x: float) -> None:
+def _check_args(kind: str, n: int, x: float) -> None:
+    if n not in (0, 1):
+        raise DomainError(f"order {n} not supported for {kind} (orders 0, 1)")
     if not math.isfinite(x):
         raise DomainError("argument must be finite")
     if abs(x) > MAX_ARG:
         raise RangeError(f"|x|={abs(x)} outside supported range {MAX_ARG}")
 
 
-def _series(n: int, x: float) -> tuple[float, float, float, float]:
-    """(J_n, Y_n, err_j, err_y) by the ascending series, 0 < x <= cutoff.
+def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """As _jy, by one pass of the ascending series in longdouble, x <= cutoff.
 
-    With t_k = (-x^2/4)^k / (k! (k+n)!) and harmonic numbers H_k
-    (DLMF 10.2.2, 10.8.1):
+    With t_k = (-x^2/4)^k / (k!)^2, u_k = t_k / (k+1) and harmonic numbers
+    H_k (DLMF 10.2.2, 10.8.1):
 
-        J_n = (x/2)^n sum t_k
-        Y_n = (2/pi)(ln(x/2) + gamma) J_n - n 2/(pi x)
-              - ((x/2)^n / pi) sum (H_k + H_{k+n}) t_k
+        J0 = sum t_k                J1 = (x/2) sum u_k
+        Y0 = (2/pi)((ln(x/2) + gamma) J0 - sum H_k t_k)
+        Y1 = (2/pi)((ln(x/2) + gamma) J1 - 1/x) - (x/(2 pi)) sum (H_k + H_{k+1}) u_k
 
-    Summed in longdouble: the absolute rounding floor is
-    ~k_peak * eps_longdouble * peak_term.
+    The absolute rounding floor is ~k_peak * eps_longdouble * peak_term.
     """
-    half = np.longdouble(x) / 2
+    one, eps = _LD_ONE, _LD_EPS
+    half = one * x / 2
     q = -half * half
-    t = _LD_ONE  # t_0 = 1/(0! n!) = 1 for n in {0, 1}
-    h = np.longdouble(n)  # H_k + H_{k+n}, with H_0 = 0 and H_1 = 1
-    sum_j = t
-    sum_y = h
-    peak_j = _LD_ONE
-    peak_y = h
+    t = one
+    h = one - one  # H_k
+    sum_j0, sum_j1, sum_y0, sum_y1 = one, one, h, one  # k = 0; H_0 + H_1 = 1
+    peak_j0 = peak_j1 = peak_y1 = one
+    peak_y0 = h
+    stop = 1e-3 * eps
     k = 0
     while True:
         k += 1
-        t = t * q / (k * (k + n))
-        h = h + _LD_ONE / k + _LD_ONE / (k + n)
-        ty = h * t
-        sum_j += t
-        sum_y += ty
-        if abs(t) > peak_j:
-            peak_j = abs(t)
-        if abs(ty) > peak_y:
-            peak_y = abs(ty)
-        elif abs(ty) < 1e-22 * (peak_y + 1.0):  # |t| <= |ty| for k >= 1
+        t = t * q / (k * k)
+        h = h + one / k
+        inv = one / (k + 1)
+        u = t * inv
+        ty0 = h * t
+        ty1 = (h + h + inv) * u
+        sum_j0 += t
+        sum_j1 += u
+        sum_y0 += ty0
+        sum_y1 += ty1
+        a = abs(ty0)
+        if a > peak_y0:  # rising: |t|, |u| and |ty1| peak no later than |ty0|
+            peak_y0 = a
+            peak_j0 = max(peak_j0, abs(t))
+            peak_j1 = max(peak_j1, abs(u))
+            peak_y1 = max(peak_y1, abs(ty1))
+            stop = 1e-3 * eps * (a + 1)
+        elif a < stop:  # the other terms are smaller, the tail smaller still
             break
-    scale = half**n
-    jn = scale * sum_j
-    yn = (2 * (np.log(half) + _LD_GAMMA) * jn - scale * sum_y) / _LD_PI
-    if n:
-        yn -= 1 / (_LD_PI * half)
-    j, y = float(jn), float(yn)
-    err_j = 4.0 * (k + 2) * _LD_EPS * float(scale * peak_j) + 4e-16 * abs(j)
-    err_y = 8.0 * (k + 4) * _LD_EPS * float(scale * peak_y) + 2.0 * err_j + 4e-16 * abs(y)
-    return j, y, err_j, err_y
+    lg = np.log(half) + _LD_GAMMA
+    j1n = half * sum_j1
+    j0, j1 = float(sum_j0), float(j1n)
+    y0 = float(2 * (lg * sum_j0 - sum_y0) / _LD_PI)
+    y1 = float((2 * (lg * j1n - one / x) - half * sum_y1) / _LD_PI)
+    wj, wy = 4.0 * (k + 2) * eps, 8.0 * (k + 4) * eps
+    err_j0 = wj * float(peak_j0) + 4e-16 * abs(j0)
+    err_j1 = wj * float(half * peak_j1) + 4e-16 * abs(j1)
+    err_y0 = wy * float(2 * peak_y0) + 2.0 * err_j0 + 4e-16 * abs(y0)
+    err_y1 = wy * float(half * peak_y1) + 2.0 * err_j1 + 4e-16 * abs(y1)
+    return (j0, y0, err_j0, err_y0), (j1, y1, err_j1, err_y1)
 
 
 def _hankel_pq(n: int, x: float) -> tuple[float, float, float]:
@@ -106,55 +119,42 @@ def _hankel_pq(n: int, x: float) -> tuple[float, float, float]:
     truncated at the smallest term, whose size bounds the error.
     """
     mu = 4 * n * n
-    p = 1.0
-    q = 0.0
-    ak_over_xk = 1.0
-    k = 1
-    prev = 1.0
-    trunc = 1.0
-    while k < 60:
-        ak_over_xk *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        mag = abs(ak_over_xk)
+    pq = [1.0, 0.0]
+    term = prev = 1.0
+    for k in range(1, 60):
+        term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        mag = abs(term)
         if mag >= prev:
-            trunc = prev
             break
-        if k % 2:  # odd k contributes to Q
-            q += -ak_over_xk if (k - 1) % 4 else ak_over_xk
-        else:  # even k contributes to P
-            p += -ak_over_xk if k % 4 else ak_over_xk
-        if mag < 1e-18:
-            trunc = mag
-            break
+        pq[k % 2] += term if k % 4 < 2 else -term  # even k to P, odd to Q; signs + - - +
         prev = mag
-        k += 1
-    else:
-        trunc = prev
-    return p, q, trunc
+        if mag < 1e-18:
+            break
+    return pq[0], pq[1], prev
 
 
-def _hankel_eval(n: int, x: float) -> tuple[float, float, float, float]:
-    """(J_n, Y_n, err_j, err_y) via the asymptotic expansion, x > cutoff."""
-    p, q, trunc = _hankel_pq(n, x)
+def _hankel(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """As _jy, by the asymptotic expansion, x > cutoff."""
     amp = math.sqrt(2.0 / (math.pi * x))
-    # phase in extended precision; x - (2n+1) pi/4 loses bits in double,
-    # and still ~x * eps_longdouble in longdouble
-    omega = np.longdouble(x) - _LD_PI * (2 * n + 1) / 4
-    c = float(np.cos(omega))
-    s = float(np.sin(omega))
-    j = amp * (p * c - q * s)
-    y = amp * (p * s + q * c)
-    err = 4.0 * amp * trunc + 2e-15 * amp + amp * x * _LD_EPS
-    return j, y, err, err
+    # phase x - pi/4 in extended precision; it loses bits in double, and still
+    # ~x * eps_longdouble in longdouble.  Order 1's phase is pi/2 less.
+    omega = np.longdouble(x) - _LD_PI / 4
+    c, s = float(np.cos(omega)), float(np.sin(omega))
+    out = []
+    for n, (cn, sn) in enumerate(((c, s), (s, -c))):
+        p, q, trunc = _hankel_pq(n, x)
+        err = 4.0 * amp * trunc + 2e-15 * amp + amp * x * _LD_EPS
+        out.append((amp * (p * cn - q * sn), amp * (p * sn + q * cn), err, err))
+    return out[0], out[1]
 
 
 @functools.lru_cache(maxsize=2)
-def _jy(n: int, x: float) -> tuple[float, float, float, float]:
-    """(J_n, Y_n, err_j, err_y) for 0 < x <= MAX_ARG.
+def _jy(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """((J0, Y0, err_j0, err_y0), (J1, Y1, err_j1, err_y1)), 0 < x <= MAX_ARG.
 
-    Cached so that bessel_j(n, x) followed by bessel_y(n, x) costs one
-    evaluation.
+    Cached on x alone: the J and Y calls of both orders at one x cost one pass.
     """
-    return _series(n, x) if x <= SERIES_CUTOFF else _hankel_eval(n, x)
+    return _series(x) if x <= SERIES_CUTOFF else _hankel(x)
 
 
 def bessel_j(n: int, x: float) -> EvalResult:
@@ -162,21 +162,17 @@ def bessel_j(n: int, x: float) -> EvalResult:
 
     J0 is even and J1 odd, so negative arguments are reflected.
     """
-    if n not in (0, 1):
-        raise DomainError(f"order {n} not supported for J (orders 0, 1)")
-    _check_range(x)
+    _check_args("J", n, x)
     if x == 0.0:
         return EvalResult(1.0 - n, 0.0)
-    j, _, err, _ = _jy(n, abs(x))
+    j, _, err, _ = _jy(abs(x))[n]
     return EvalResult(-j if x < 0.0 and n == 1 else j, err)
 
 
 def bessel_y(n: int, x: float) -> EvalResult:
     """Bessel function of the second kind, order n in {0, 1}, x > 0."""
-    if n not in (0, 1):
-        raise DomainError(f"order {n} not supported for Y (orders 0, 1)")
-    _check_range(x)
+    _check_args("Y", n, x)
     if x <= 0.0:
         raise DomainError("Y_n requires x > 0 (singular at the origin)")
-    _, y, _, err = _jy(n, x)
+    _, y, _, err = _jy(x)[n]
     return EvalResult(y, err)

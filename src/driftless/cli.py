@@ -128,16 +128,14 @@ def cmd_closed_form(args) -> int:
     times = np.arange(0.0, args.t_end + 0.5 * dt, dt)
     if q0[2] == 0.0 and args.degenerate:
         states = [
-            np.append(closedform.degenerate_eval(q0[0], q0[1], -1.0, t), 0.0)
+            (*closedform.degenerate_eval(q0[0], q0[1], -1.0, t).tolist(), 0.0)
             for t in times
         ]
     else:
         sol = closedform.fit_solution(q0[:2], q0[2])
-        states = []
-        for t in times:
-            st = closedform.eval_solution(sol, t)
-            states.append(np.array([st.X[0], st.X[1], st.theta]))
-    states = np.asarray(states)
+        points = (closedform.eval_solution(sol, t) for t in times)
+        states = [(*st.X.tolist(), st.theta) for st in points]
+    states = np.array(states)
     # energy via the closed-loop identity E = (rho/2)(||q||^2 - ||q0||^2), rho=-1
     norms2 = np.sum(states**2, axis=1)
     energy = 0.5 * (norms2[0] - norms2)

@@ -34,22 +34,21 @@ RHO = -1.0  # solutions are normalized to equal gains rho = -1
 _SMALL_THETA = 1e-150
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def to_z_frame(X, theta: float) -> np.ndarray:
     """Rotate the position into the attitude-aligned frame: Z = R(theta)' X.
 
     X may also be 2 x n, one position per column.
     """
-    return _rotation(theta).T @ np.asarray(X, float)
+    c, s = math.cos(theta), math.sin(theta)
+    x, y = np.asarray(X, float)
+    return np.array((c * x + s * y, c * y - s * x))
 
 
 def from_z_frame(Z, theta: float) -> np.ndarray:
-    """Inverse frame change: X = R(theta) Z."""
-    return _rotation(theta) @ np.asarray(Z, float)
+    """Inverse frame change: X = R(theta) Z, with Z as in to_z_frame."""
+    c, s = math.cos(theta), math.sin(theta)
+    z1, z2 = np.asarray(Z, float)
+    return np.array((c * z1 - s * z2, s * z1 + c * z2))
 
 
 @dataclass(frozen=True)

@@ -132,12 +132,9 @@ class Trajectory:
         """Write the fixed (t, x_c, y_c, theta, energy) schema, 17 sig digits."""
         if self.states.shape[1] != 3:
             raise ValueError("CSV schema is defined for 3-state trajectories")
-        lines = [CSV_HEADER]
-        for t, q, e in zip(self.times, self.states, self.energy):
-            lines.append(
-                ",".join(format(v, ".17g") for v in (t, q[0], q[1], q[2], e))
-            )
-        _atomic_write(path, "\n".join(lines) + "\n")
+        rows = np.column_stack((self.times, self.states, self.energy))
+        row = ",".join(["%.17g"] * 5) + "\n"
+        _atomic_write(path, CSV_HEADER + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
 
     def to_json(self, path: str, meta: dict | None = None) -> None:
         payload = {
@@ -320,7 +317,7 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     guard = DIVERGENCE_FACTOR * max(1.0, math.sqrt(float(q0 @ q0)))
     x, y, th = float(q0[0]), float(q0[1]), float(q0[2])
     times = [0.0]
-    states = [(x, y, th)]
+    states = [x, y, th]  # flat, three values per node
     ax, ay, at = rhs(x, y, th, rp, rt)
     rates = [ax * ax + ay * ay + at * at]
     for i in range(1, n_steps + 1):
@@ -335,13 +332,13 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
         if x * x + y * y + th * th > guard * guard:
             raise DivergenceError(
                 f"state norm exceeded guard at t={i * h:.6g}",
-                Trajectory.from_samples(times, states, rates),
+                Trajectory.from_samples(times, np.reshape(states, (-1, 3)), rates),
             )
         times.append(i * h)
-        states.append((x, y, th))
+        states += (x, y, th)
         ax, ay, at = rhs(x, y, th, rp, rt)
         rates.append(ax * ax + ay * ay + at * at)
-    return Trajectory.from_samples(times, states, rates)
+    return Trajectory.from_samples(times, np.reshape(states, (-1, 3)), rates)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import pytest
 
 from driftless.bessel import (
     MAX_ARG,
+    SERIES_CUTOFF,
     EvalResult,
     bessel_j,
     bessel_y,
@@ -20,6 +21,14 @@ from driftless.bessel import (
 from driftless.errors import DomainError, RangeError
 
 mp.mp.dps = 30
+
+
+def four(x):
+    return bessel_j(0, x), bessel_j(1, x), bessel_y(0, x), bessel_y(1, x)
+
+
+def mp_four(x):
+    return mp.besselj(0, x), mp.besselj(1, x), mp.bessely(0, x), mp.bessely(1, x)
 
 
 def series_j0(x, terms=30):
@@ -74,6 +83,31 @@ def test_error_estimate_covers_true_error():
         ]:
             assert res.est_abs_error >= 0.0
             assert abs(res.value - float(ref)) <= res.est_abs_error
+
+
+def test_small_arguments_against_mpmath():
+    # the closed form's arguments theta0 exp(-t) spend most of a trajectory
+    # below the 0.05 where the grids above start
+    for x in np.geomspace(1e-12, SERIES_CUTOFF, 300):
+        x = float(x)
+        for res, ref in zip(four(x), mp_four(x)):
+            err = abs(res.value - float(ref))
+            assert err <= max(1e-12, 1e-12 * abs(float(ref)))
+            assert err <= res.est_abs_error
+
+
+@pytest.mark.parametrize("x", [1e-160, 1e-300, 1e-308, 5e-309, 1e-310, 5e-324])
+def test_tiny_arguments(x):
+    # in doubles x/2 underflows at 5e-324 and 2/(pi x) overflows below about
+    # 3.5e-309: every value stays within one rounding unit of the correctly
+    # rounded one, and the pole of Y1 stays -inf with an infinite error estimate
+    for res, ref in zip(four(x), mp_four(mp.mpf(x))):
+        ref = float(ref)
+        if math.isinf(ref):
+            assert res.value == ref and res.est_abs_error == math.inf
+        else:
+            assert abs(res.value - ref) <= math.ulp(ref)
+            assert res.est_abs_error >= 0.0
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -135,18 +169,11 @@ def test_order_zero_ode_certificate():
 
 
 def test_seam_continuity():
-    from driftless.bessel import SERIES_CUTOFF
-
     # the gap must be small enough that the true function's variation
     # (|derivative| < 1) stays well below the continuity tolerance
     lo, hi = SERIES_CUTOFF - 1e-13, SERIES_CUTOFF + 1e-13
-    for fn in (
-        lambda x: bessel_j(0, x).value,
-        lambda x: bessel_j(1, x).value,
-        lambda x: bessel_y(0, x).value,
-        lambda x: bessel_y(1, x).value,
-    ):
-        assert abs(fn(lo) - fn(hi)) <= 1e-12
+    for below, above in zip(four(lo), four(hi)):
+        assert abs(below.value - above.value) <= 1e-12
 
 
 def test_range_and_domain_errors():

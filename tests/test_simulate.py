@@ -338,6 +338,24 @@ class TestTrajectoryIO:
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(rows[:, 1:4], traj.states)
 
+    def test_csv_bytes_match_per_value_writer(self, tmp_path):
+        def per_value_csv(traj):
+            # reference: one format() call per value
+            lines = ["t,x_c,y_c,theta,energy"]
+            for t, q, e in zip(traj.times, traj.states, traj.energy):
+                lines.append(",".join(format(v, ".17g") for v in (t, q[0], q[1], q[2], e)))
+            return "\n".join(lines) + "\n"
+
+        special = [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, -1.5e-300]
+        states = np.array([special[i:i + 3] for i in range(6)])
+        traj = Trajectory(np.arange(6) * 0.1, states, np.array(special[2:]))
+        path = tmp_path / "out.csv"
+        traj.to_csv(str(path))
+        assert path.read_bytes() == per_value_csv(traj).encode()
+        traj = self.make()
+        traj.to_csv(str(path))
+        assert path.read_bytes() == per_value_csv(traj).encode()
+
     def test_json_mirror(self, tmp_path):
         traj = self.make()
         path = tmp_path / "out.json"
