@@ -13,6 +13,10 @@ Stegun ch. 9, DLMF ch. 10), each returning both orders from one pass:
 Supported range is |x| <= MAX_ARG. The trajectories that consume these
 functions have arguments theta0 * exp(rho*t); up to MAX_ARG the rounding of
 the extended-precision Hankel phase stays below 1e-15.
+
+bessel_j/bessel_y serve points, jy_array a grid in one pass, bit for bit alike:
+on a 2-vCPU VM a 2,001-point grid takes 5-12 ms in jy_array and 33-45 ms point
+by point, but one point 0.14-1.2 ms in jy_array and 8-70 us in the scalar pass.
 """
 
 from __future__ import annotations
@@ -155,6 +159,61 @@ def _jy(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     Cached on x alone: the J and Y calls of both orders at one x cost one pass.
     """
     return _series(x) if x <= SERIES_CUTOFF else _hankel(x)
+
+
+def _series_array(x: np.ndarray) -> np.ndarray:
+    """_series per element, x <= cutoff; each element stops at its own term."""
+    one, eps = _LD_ONE, _LD_EPS
+    half = x.astype(np.longdouble) / 2
+    q = -half * half
+    sums = np.array([[1], [1], [0], [1]], np.longdouble).repeat(len(x), 1)  # J0 J1 Y0 Y1
+    peaks, stop = sums.copy(), np.full(len(x), 1e-3 * eps, np.longdouble)
+    last, live = np.zeros(len(x), int), np.arange(len(x))  # k at the stop; running
+    t, h, k = one, one - one, 0
+    while len(live):
+        k += 1
+        t = t * q[live] / (k * k)
+        h, inv = h + one / k, one / (k + 1)
+        u = t * inv
+        terms = np.array((t, u, h * t, (h + h + inv) * u))
+        sums[:, live] += terms
+        a = abs(terms[2])
+        rising = a > peaks[2, live]
+        up = live[rising]
+        peaks[:, up] = np.maximum(peaks[:, up], abs(terms[:, rising]))
+        stop[up] = 1e-3 * eps * (a[rising] + 1)
+        done = ~rising & (a < stop[live])
+        last[live[done]] = k
+        live, t = live[~done], t[~done]
+    (s_j0, s_j1, s_y0, s_y1), (p_j0, p_j1, p_y0, p_y1) = sums, peaks
+    lg, j1n = np.log(half) + _LD_GAMMA, half * s_j1
+    with np.errstate(over="ignore"):  # Y1 = -inf below about 3.5e-309, as in _series
+        y1 = ((2 * (lg * j1n - one / x) - half * s_y1) / _LD_PI).astype(float)
+    j0, j1 = s_j0.astype(float), j1n.astype(float)
+    y0 = (2 * (lg * s_j0 - s_y0) / _LD_PI).astype(float)
+    wj, wy = 4.0 * (last + 2) * eps, 8.0 * (last + 4) * eps
+    err_j0 = wj * p_j0.astype(float) + 4e-16 * abs(j0)
+    err_j1 = wj * (half * p_j1).astype(float) + 4e-16 * abs(j1)
+    err_y0 = wy * (2 * p_y0).astype(float) + 2.0 * err_j0 + 4e-16 * abs(y0)
+    err_y1 = wy * (half * p_y1).astype(float) + 2.0 * err_j1 + 4e-16 * abs(y1)
+    return np.array(((j0, y0, err_j0, err_y0), (j1, y1, err_j1, err_y1)))
+
+
+def jy_array(x) -> np.ndarray:
+    """_jy at each element of the 1-D array x, shape (2, 4, len(x)): the same
+    branch and operations per element, so the same bits.  Raises as bessel_y."""
+    x = np.asarray(x, float)
+    _check_args("Y", 0, float(np.max(abs(x), initial=0.0)))  # NaN propagates
+    if np.any(x <= 0.0):
+        raise DomainError("Y_n requires x > 0 (singular at the origin)")
+    out = np.empty((2, 4, len(x)))
+    low = x <= SERIES_CUTOFF
+    out[:, :, low] = _series_array(x[low])
+    # point by point above the cutoff: few grid points lie there, and an array
+    # form of _hankel would save under 2 % of a closed-form-cli round
+    high = [_hankel(v) for v in x[~low].tolist()]
+    out[:, :, ~low] = np.reshape(high, (-1, 2, 4)).transpose(1, 2, 0)
+    return out
 
 
 def bessel_j(n: int, x: float) -> EvalResult:

@@ -56,9 +56,12 @@ def _parse_q0(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError(f"--q0 needs 3 comma-separated values, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        q0 = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ConfigError(f"--q0: {exc}") from exc
+    if not np.all(np.isfinite(q0)):
+        raise ConfigError(f"--q0 values must be finite, got {text!r}")
+    return q0
 
 
 def _out_path(path: str | None, default_name: str) -> str:
@@ -127,15 +130,12 @@ def cmd_closed_form(args) -> int:
         raise ConfigError(f"--t-end must be nonnegative, got {args.t_end}")
     times = np.arange(0.0, args.t_end + 0.5 * dt, dt)
     if q0[2] == 0.0 and args.degenerate:
-        states = [
-            (*closedform.degenerate_eval(q0[0], q0[1], -1.0, t).tolist(), 0.0)
-            for t in times
-        ]
+        X = closedform.degenerate_eval(q0[0], q0[1], -1.0, times)
+        states = np.column_stack((X, np.zeros_like(times)))
     else:
-        sol = closedform.fit_solution(q0[:2], q0[2])
-        points = (closedform.eval_solution(sol, t) for t in times)
-        states = [(*st.X.tolist(), st.theta) for st in points]
-    states = np.array(states)
+        st = closedform.eval_solution(closedform.fit_solution(q0[:2], q0[2]), times)
+        states = np.column_stack((st.X, st.theta))
+        del st  # z1, z2, X would outlive the writer: 10 MB more peak RSS at 152k samples
     # energy via the closed-loop identity E = (rho/2)(||q||^2 - ||q0||^2), rho=-1
     norms2 = np.sum(states**2, axis=1)
     energy = 0.5 * (norms2[0] - norms2)
@@ -166,7 +166,7 @@ def cmd_compare(args) -> int:
     traj = simulate.integrate_unicycle(q0, GainConfig(-1.0, -1.0), cfg)
     # adaptive nodes have no fixed spacing to stride over
     stride = max(1, int(round(dt / cfg.step))) if cfg.method == "rk4" else 1
-    ref = np.array([position(t) for t in traj.times[::stride]])
+    ref = position(traj.times[::stride])
     err = np.abs(ref - traj.states[::stride, :2])
     report = {
         "sup_norm_error": float(np.max(err)),

@@ -16,6 +16,9 @@ Negative initial attitudes are handled by evaluating the Bessel functions
 at |theta| (the order-zero equation is even in its argument); the sign
 bookkeeping below keeps z1 odd in theta and z2 even, which is the branch
 that matches the numerical oracle.
+
+eval_solution takes one time (bessel_j/bessel_y, math) or a 1-D array of
+times (one bessel.jy_array pass, math per element); both give the same bits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import EULER_GAMMA, bessel_j, bessel_y
+from .bessel import EULER_GAMMA, bessel_j, bessel_y, jy_array
 from .errors import DegenerateAttitudeError
 
 RHO = -1.0  # solutions are normalized to equal gains rho = -1
@@ -44,9 +47,17 @@ def to_z_frame(X, theta: float) -> np.ndarray:
     return np.array((c * x + s * y, c * y - s * x))
 
 
+def _math(fn, x):
+    """The math function fn at x, or at each element of an ndarray x: numpy's
+    own loops may differ by an ulp, and a grid must equal its points bit for bit."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
+
+
 def from_z_frame(Z, theta: float) -> np.ndarray:
-    """Inverse frame change: X = R(theta) Z, with Z as in to_z_frame."""
-    c, s = math.cos(theta), math.sin(theta)
+    """Inverse frame change: X = R(theta) Z, with Z as in to_z_frame and theta per column."""
+    c, s = _math(math.cos, theta), _math(math.sin, theta)
     z1, z2 = np.asarray(Z, float)
     return np.array((c * z1 - s * z2, s * z1 + c * z2))
 
@@ -81,6 +92,19 @@ def _basis(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
     y0 = bessel_y(0, s).value
     y1 = bessel_y(1, s).value
     return (theta * j0, theta * y0), (-s * j1, -s * y1)
+
+
+def _basis_grid(theta: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """_basis at each attitude of the 1-D array theta, by the same arithmetic."""
+    s = abs(theta)
+    big = ~(s < _SMALL_THETA)  # NaN goes to jy_array, which raises as bessel_j does
+    tiny = (s > 0.0) & ~big
+    y0s = np.zeros_like(s)
+    y0s[tiny] = (2.0 / math.pi) * (_math(math.log, s[tiny]) - math.log(2.0) + EULER_GAMMA)
+    a, b, c, d = theta.copy(), theta * y0s, -0.5 * s * s, np.full_like(s, 2.0 / math.pi)
+    (j0, y0, _, _), (j1, y1, _, _) = jy_array(s[big])
+    a[big], b[big], c[big], d[big] = theta[big] * j0, theta[big] * y0, -s[big] * j1, -s[big] * y1
+    return (a, b), (c, d)
 
 
 def basis_matrix(theta0: float) -> np.ndarray:
@@ -120,6 +144,8 @@ def fit_solution(X0, theta0: float) -> ClosedFormSolution:
 
 @dataclass(frozen=True)
 class ClosedFormState:
+    """One state, or a grid of them: then theta, z1, z2 are arrays, X is n x 2."""
+
     theta: float
     z1: float
     z2: float
@@ -127,23 +153,27 @@ class ClosedFormState:
 
 
 def eval_solution(sol: ClosedFormSolution, t: float) -> ClosedFormState:
-    """Evaluate attitude, rotated coordinates, and position at time t >= 0."""
-    if t < 0.0:
+    """Evaluate attitude, rotated coordinates, and position at time t >= 0 (or a 1-D array)."""
+    grid = isinstance(t, np.ndarray)
+    if (t < 0.0).any() if grid else t < 0.0:
         raise ValueError("t must be nonnegative")
-    theta = sol.theta0 * math.exp(-t)
-    (a, b), (c, d) = _basis(theta)
+    theta = sol.theta0 * _math(math.exp, -t)
+    (a, b), (c, d) = (_basis_grid if grid else _basis)(theta)
     z1 = a * sol.c1 + b * sol.c2
     z2 = c * sol.c1 + d * sol.c2
     X = from_z_frame((z1, z2), theta)
-    return ClosedFormState(theta=theta, z1=z1, z2=z2, X=X)
+    return ClosedFormState(theta=theta, z1=z1, z2=z2, X=X.T if grid else X)
 
 
 def degenerate_eval(x0: float, y0: float, rho: float, t: float) -> np.ndarray:
-    """Position when the attitude is identically zero.
+    """Position when the attitude is identically zero; n x 2 for a 1-D array t.
 
     The closed loop reduces to x' = rho x, y' = 0.
     """
-    return np.array([x0 * math.exp(rho * t), y0])
+    x = x0 * _math(math.exp, rho * t)
+    if isinstance(t, np.ndarray):
+        return np.column_stack((x, np.full(t.shape, y0)))
+    return np.array([x, y0])
 
 
 def ode_residual(sol: ClosedFormSolution, t: float, h: float = 1e-4) -> float:

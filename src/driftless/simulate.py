@@ -69,12 +69,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
 
 
 def _unicycle_rhs(x, y, th, rho_pos, rho_theta):

@@ -6,6 +6,7 @@ the package implementation).
 """
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -15,8 +16,10 @@ from driftless.bessel import (
     MAX_ARG,
     SERIES_CUTOFF,
     EvalResult,
+    _jy,
     bessel_j,
     bessel_y,
+    jy_array,
 )
 from driftless.errors import DomainError, RangeError
 
@@ -189,6 +192,32 @@ def test_range_and_domain_errors():
         bessel_y(-1, 1.0)
     with pytest.raises(DomainError):
         bessel_j(0, math.nan)
+
+
+def test_jy_array_equals_scalar_bit_for_bit():
+    # same branch and same operations per element: exact equality, values
+    # and estimates, on both branches, the seam and the extremes
+    seam = [np.nextafter(SERIES_CUTOFF, 0.0), SERIES_CUTOFF, np.nextafter(SERIES_CUTOFF, 15.0)]
+    x = np.concatenate([
+        [5e-324, 1e-310, 1e-300, 1e-160], seam, [MAX_ARG],
+        np.geomspace(1e-12, SERIES_CUTOFF, 700),
+        np.linspace(1e-3, SERIES_CUTOFF, 600),
+        np.geomspace(SERIES_CUTOFF, MAX_ARG, 693),
+    ])
+    np.random.default_rng(3).shuffle(x)
+    want = np.array([_jy(float(v)) for v in x]).transpose(1, 2, 0)
+    got = jy_array(x)
+    assert got.shape == (2, 4, len(x)) == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2 * MAX_ARG, -2 * MAX_ARG, 0.0, -1.0])
+def test_jy_array_raises_as_scalar(bad):
+    with pytest.raises((DomainError, RangeError)) as scalar:
+        bessel_y(0, bad)
+    # the same message, up to the reported argument
+    with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value).split("=")[0])):
+        jy_array(np.array([1.0, 20.0, bad, 2.0]))
 
 
 def test_eval_result_rejects_negative_estimate():

@@ -16,7 +16,8 @@ from driftless.cli import (
     main,
 )
 from driftless import simulate
-from driftless.simulate import GainConfig, IntegratorConfig, integrate_unicycle
+from driftless.closedform import degenerate_eval, eval_solution, fit_solution
+from driftless.simulate import GainConfig, IntegratorConfig, Trajectory, integrate_unicycle
 
 
 def run(capsys, *argv):
@@ -139,6 +140,73 @@ def test_bad_sample_grid_is_invalid_config(capsys, command, flag, value):
     code, _, err = run(capsys, command, "--q0", "1,0,1", flag, value)
     assert code == EXIT_INVALID
     assert flag in err
+
+
+def per_sample_closed_form(path, q0, t_end, dt, degenerate):
+    """cmd_closed_form as a loop of point evaluations, the reference for the grid."""
+    times = np.arange(0.0, t_end + 0.5 * dt, dt)
+    if degenerate:
+        states = [(*degenerate_eval(q0[0], q0[1], -1.0, t).tolist(), 0.0) for t in times]
+    else:
+        sol = fit_solution(np.array(q0[:2]), q0[2])
+        points = (eval_solution(sol, t) for t in times)
+        states = [(*s.X.tolist(), s.theta) for s in points]
+    states = np.array(states)
+    norms2 = np.sum(states**2, axis=1)
+    Trajectory(times, states, 0.5 * (norms2[0] - norms2)).to_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "q0, degenerate",
+    [((1.0, -0.5, 5.0), False), ((-0.7, 1.1, 20.0), False), ((2.2, 0.3, 48.0), False),
+     ((0.7, -0.4, 0.0), True)],
+)
+def test_closed_form_csv_equals_point_loop(tmp_path, capsys, q0, degenerate):
+    out, ref = tmp_path / "grid.csv", tmp_path / "points.csv"
+    flags = ["--degenerate"] if degenerate else []
+    code, _, _ = run(capsys, "closed-form", "--q0=" + ",".join(map(repr, q0)), "--t-end", "10",
+                     "--sample-dt", "0.005", "--out", str(out), *flags)
+    assert code == EXIT_OK
+    per_sample_closed_form(ref, q0, 10.0, 0.005, degenerate)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("q0", ["nan,0,1", "inf,0,1", "1,-inf,1", "1,0,nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit"],
+        ["closed-form", "--t-end", "1"],
+        ["compare", "--t-end", "1"],
+        ["analyze", "--what", "rho-positive", "--rho-theta", "1", "--t-end", "5"],
+        ["analyze", "--what", "brockett"],
+    ],
+    ids=["fit", "closed-form", "compare", "rho-positive", "brockett"],
+)
+def test_non_finite_q0_is_invalid_config(tmp_path, capsys, monkeypatch, argv, q0):
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv, f"--q0={q0}")
+    assert code == EXIT_INVALID
+    assert "--q0" in err and out == ""
+
+
+@pytest.mark.parametrize("flag", ["--t-end", "--step", "--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rho", "-1"],
+        ["compare"],
+        ["analyze", "--what", "stability"],
+        ["switch"],
+        ["simulate", "--rho", "-1", "--method", "rk45"],
+    ],
+    ids=["simulate", "compare", "stability", "switch", "simulate-rk45"],
+)
+def test_non_finite_integrator_setting_is_invalid_config(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--q0", "1,0,1", flag, "inf")
+    assert code == EXIT_INVALID
+    assert "finite" in err and out == ""
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from driftless.closedform import (
     ClosedFormSolution,
@@ -17,7 +17,7 @@ from driftless.closedform import (
     ode_residual,
     to_z_frame,
 )
-from driftless.errors import DegenerateAttitudeError
+from driftless.errors import DegenerateAttitudeError, DomainError
 from driftless.simulate import GainConfig, IntegratorConfig, integrate_unicycle
 
 
@@ -124,6 +124,42 @@ class TestEval:
         sol = ClosedFormSolution(theta0=1.0, c1=1.0, c2=0.0)
         with pytest.raises(ValueError):
             eval_solution(sol, -0.1)
+
+
+class TestGridEval:
+    @settings(deadline=None)
+    @given(
+        x=st.floats(-3, 3), y=st.floats(-3, 3), sign=st.sampled_from([-1.0, 1.0]),
+        log_theta0=st.floats(-3, 6), times=st.lists(st.floats(0, 40), max_size=40),
+    )
+    def test_grid_matches_points(self, x, y, sign, log_theta0, times):
+        # |theta0| up to 1e6, across the series/Hankel cutoff; t = 400 has
+        # |theta| < 1e-150 (small-attitude limit), t = 800 and inf theta = 0
+        sol = fit_solution([x, y], sign * 10.0**log_theta0)
+        t = np.array(sorted(times) + [400.0, 800.0, math.inf])
+        grid = eval_solution(sol, t)
+        points = [eval_solution(sol, v) for v in t]
+        # a bound set from float64 beforehand: numpy's vector exp, cos and sin
+        # may differ from math's by an ulp (the grid uses math today, and
+        # test_closed_form_csv_equals_point_loop checks bytes)
+        for name in ("theta", "z1", "z2", "X"):
+            want = np.array([getattr(p, name) for p in points])
+            got = getattr(grid, name)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 4.5e-16 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_bad_time_raises_as_point(self, bad):
+        sol = ClosedFormSolution(theta0=1.0, c1=1.0, c2=0.5)
+        with pytest.raises((ValueError, DomainError)) as point:
+            eval_solution(sol, bad)
+        with pytest.raises(type(point.value), match=str(point.value)):
+            eval_solution(sol, np.array([0.0, 1.0, bad, 2.0]))
+
+    def test_degenerate_grid_matches_points(self):
+        t = np.linspace(0.0, 800.0, 57)
+        want = np.array([degenerate_eval(1.0, 2.0, -1.0, v) for v in t])
+        assert degenerate_eval(1.0, 2.0, -1.0, t).tobytes() == want.tobytes()
 
 
 class TestDegenerateEval:
