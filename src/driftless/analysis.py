@@ -50,6 +50,8 @@ def certify_stability(traj: Trajectory, field_fn, tol: float) -> StabilityCertif
     run is below tol * (1 + total); there is no horizon-infinite check, so
     a stalled integrand is the operational meaning of convergence.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if len(traj.times) < 20:
         raise InconclusiveError("trajectory too short for a windowed energy check")
     horizon = float(traj.times[-1])

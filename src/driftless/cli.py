@@ -123,6 +123,12 @@ def _sample_dt(args) -> float:
     return args.sample_dt
 
 
+def _tol(args) -> float:
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    return args.tol
+
+
 def cmd_closed_form(args) -> int:
     q0 = _parse_q0(args.q0)
     dt = _sample_dt(args)
@@ -155,7 +161,7 @@ def cmd_fit(args) -> int:
 
 def cmd_compare(args) -> int:
     q0 = _parse_q0(args.q0)
-    dt = _sample_dt(args)
+    dt, tol = _sample_dt(args), _tol(args)
     cfg = _integrator_config(args)
     if q0[2] == 0.0 and args.degenerate:
         position = lambda t: closedform.degenerate_eval(q0[0], q0[1], -1.0, t)
@@ -173,8 +179,8 @@ def cmd_compare(args) -> int:
         "max_error_x": float(np.max(err[:, 0])),
         "max_error_y": float(np.max(err[:, 1])),
         "n_samples": len(ref),
-        "tol": args.tol,
-        "passed": bool(np.max(err) <= args.tol),
+        "tol": tol,
+        "passed": bool(np.max(err) <= tol),
     }
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["passed"] else EXIT_FAILED
@@ -187,6 +193,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--what {args.what} needs equal negative gains, got "
                           f"--rho-pos {args.rho_pos:g} --rho-theta {args.rho_theta:g}")
     if args.what == "stability":
+        tol = _tol(args)
         gains = GainConfig(rho_pos=args.rho_pos, rho_theta=args.rho_theta)
         cfg = _integrator_config(args)
         try:
@@ -200,7 +207,7 @@ def cmd_analyze(args) -> int:
             )
             return EXIT_FAILED
         cert = analysis.certify_stability(
-            traj, lambda q: simulate.unicycle_field(q, gains), tol=args.tol
+            traj, lambda q: simulate.unicycle_field(q, gains), tol=tol
         )
         print(analysis.report_json(cert))
         return EXIT_OK if cert.passed else EXIT_FAILED

@@ -17,8 +17,10 @@ at |theta| (the order-zero equation is even in its argument); the sign
 bookkeeping below keeps z1 odd in theta and z2 even, which is the branch
 that matches the numerical oracle.
 
-eval_solution takes one time (bessel_j/bessel_y, math) or a 1-D array of
-times (one bessel.jy_array pass, math per element); both give the same bits.
+eval_solution takes one time (four float bessel_j/bessel_y values, math) or a
+1-D array of times (one bessel.jy_array pass, math per element); both give the
+same bits.  The Bessel functions take |theta| > 0 only: below 1e-150 _basis
+uses their leading small-argument terms.
 """
 
 from __future__ import annotations
@@ -87,10 +89,10 @@ def _basis(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
         # J0 = 1, J1 = s/2, Y0 = (2/pi)(ln(s/2) + gamma), Y1 = -2/(pi s)
         y0 = (2.0 / math.pi) * (math.log(s) - math.log(2.0) + EULER_GAMMA) if s else 0.0
         return (theta, theta * y0), (-0.5 * s * s, 2.0 / math.pi)
-    j0 = bessel_j(0, s).value
-    j1 = bessel_j(1, s).value
-    y0 = bessel_y(0, s).value
-    y1 = bessel_y(1, s).value
+    j0 = bessel_j(0, s)
+    j1 = bessel_j(1, s)
+    y0 = bessel_y(0, s)
+    y1 = bessel_y(1, s)
     return (theta * j0, theta * y0), (-s * j1, -s * y1)
 
 

@@ -504,6 +504,8 @@ def propagate_fast_attitude(
     """
     if not rho_theta > 0.0:
         raise ValueError("this propagator is for growing attitude (rho_theta > 0)")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {t_end}")
     s0 = abs(theta0)
     log_s0 = math.log(s0) if s0 > 0.0 else -math.inf
     # the cost grows with |theta(t_end)|; stop where the closed forms stop

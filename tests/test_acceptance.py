@@ -197,19 +197,17 @@ def test_criterion_8_special_functions():
     for x in np.linspace(0.05, 50.0, 400):
         x = float(x)
         for val, ref in [
-            (bessel_j(0, x).value, mp.besselj(0, x)),
-            (bessel_j(1, x).value, mp.besselj(1, x)),
-            (bessel_y(0, x).value, mp.bessely(0, x)),
-            (bessel_y(1, x).value, mp.bessely(1, x)),
+            (bessel_j(0, x), mp.besselj(0, x)),
+            (bessel_j(1, x), mp.besselj(1, x)),
+            (bessel_y(0, x), mp.bessely(0, x)),
+            (bessel_y(1, x), mp.bessely(1, x)),
         ]:
             ref = float(ref)
             worst = max(worst, abs(val - ref) / max(1e-12, 1e-12 * abs(ref)) * 1e-12)
     worst_w = 0.0
     for x in np.linspace(0.05, 50.0, 100):
         x = float(x)
-        w = bessel_j(1, x).value * bessel_y(0, x).value - (
-            bessel_j(0, x).value * bessel_y(1, x).value
-        )
+        w = bessel_j(1, x) * bessel_y(0, x) - bessel_j(0, x) * bessel_y(1, x)
         worst_w = max(worst_w, abs(w - 2.0 / (math.pi * x)))
     report(
         8,

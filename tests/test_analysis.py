@@ -59,6 +59,13 @@ class TestCertifyStability:
         with pytest.raises(InconclusiveError):
             certify_stability(stub, lambda q: unicycle_field(q, STABLE), tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # NaN would fail every run and inf pass every run
+        traj = stable_run([1.0, 0.0, 0.5], t_end=5.0)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            certify_stability(traj, lambda q: unicycle_field(q, STABLE), tol=tol)
+
 
 class TestAsymptotics:
     def test_zero_c2_lands_at_origin(self):

@@ -26,6 +26,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def never(*args, **kwargs):
+    raise RuntimeError("integration started")
+
+
 def test_simulate_writes_expected_csv(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code, _, _ = run(
@@ -282,9 +294,6 @@ def test_compare_rk45_checks_every_node(capsys):
 def test_rho_positive_horizon_beyond_range_is_invalid(capsys, monkeypatch):
     # |theta| = 0.5 e^30 = 5.3e12; the propagator would run for months, so
     # no transition product may be built
-    def never(*args):
-        raise RuntimeError("propagation started")
-
     monkeypatch.setattr(simulate, "_rotation_chunk_propagator", never)
     code, out, err = run(
         capsys, "analyze", "--what", "rho-positive", "--q0", "1,0,0.5", "--rho-theta", "1"
@@ -297,9 +306,6 @@ def test_rho_positive_horizon_beyond_range_is_invalid(capsys, monkeypatch):
 @pytest.mark.parametrize("rho_pos", [-1e9, -1e308])
 def test_rho_positive_step_budget_is_invalid(capsys, monkeypatch, rho_pos):
     # |rho_pos| dt <= 1e-3 would take 1e12 steps or more to t = 1
-    def never(*args):
-        raise RuntimeError("propagation started")
-
     monkeypatch.setattr(simulate, "_rotation_chunk_propagator", never)
     code, out, err = run(
         capsys, "analyze", "--what", "rho-positive", f"--rho-pos={rho_pos!r}",
@@ -307,6 +313,18 @@ def test_rho_positive_step_budget_is_invalid(capsys, monkeypatch, rho_pos):
     )
     assert code == EXIT_INVALID and out == ""
     assert f"rho_pos = {rho_pos:g}" in err
+
+
+@pytest.mark.parametrize("t_end", ["-1", "0", "nan"])
+def test_rho_positive_bad_horizon_is_invalid(capsys, monkeypatch, t_end):
+    # a horizon of -1 would integrate backwards
+    monkeypatch.setattr(simulate, "_rotation_chunk_propagator", never)
+    code, out, err = run(
+        capsys, "analyze", "--what", "rho-positive", "--rho-theta", "1",
+        "--q0", "1,0,1", "--t-end", t_end,
+    )
+    assert code == EXIT_INVALID and out == ""
+    assert "horizon must be positive and finite" in err
 
 
 def test_rho_positive_stiff_gain_ratio_decays(capsys):
@@ -338,6 +356,38 @@ def test_analyze_stability_destabilizing_fails(capsys):
     )
     assert code == EXIT_FAILED
     assert not json.loads(out)["energy_bounded"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit"],
+        ["compare", "--t-end", "1"],
+        ["analyze", "--what", "stability"],
+        ["analyze", "--what", "asymptotics"],
+        ["analyze", "--what", "rho-positive", "--rho-theta", "1", "--t-end", "5"],
+        ["analyze", "--what", "brockett"],
+        ["switch", "--method", "rk45"],
+    ],
+    ids=["fit", "compare", "stability", "asymptotics", "rho-positive", "brockett", "switch"],
+)
+def test_json_output_is_strict(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, out, _ = run(capsys, *argv, "--q0", "1,1,0.5")
+    assert code == EXIT_OK
+    assert isinstance(strict_json(out), dict)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize(
+    "argv", [["compare"], ["analyze", "--what", "stability"]], ids=["compare", "stability"]
+)
+def test_bad_tol_is_invalid_config(capsys, monkeypatch, argv, tol):
+    # rejected before the integration, so no report prints NaN or Infinity
+    monkeypatch.setattr(simulate, "integrate_unicycle", never)
+    code, out, err = run(capsys, *argv, "--q0", "1,0,1", "--tol", tol)
+    assert code == EXIT_INVALID and out == ""
+    assert "--tol must be positive and finite" in err
 
 
 def test_switch_command(tmp_path, capsys):
