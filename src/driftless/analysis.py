@@ -63,7 +63,10 @@ def certify_stability(traj: Trajectory, field_fn, tol: float) -> StabilityCertif
     total = float(traj.energy[-1])
     qdot = np.asarray(field_fn(traj.states[-1]), float)
     final_speed = float(np.linalg.norm(qdot))
-    norms = np.linalg.norm(traj.states, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(traj.states, axis=1)
+    if np.isinf(norms).any():  # |q|^2 overflowed; hypot is 4x slower but does not
+        norms = np.hypot.reduce(traj.states, axis=1)
     slack = 1e-9 * (1.0 + norms[0])
     monotone = bool(np.all(np.diff(norms) <= slack))
     return StabilityCertificate(
@@ -126,13 +129,13 @@ def rho_positive_study(
     position gain stabilizing, and record that the wheel-center position
     still collapses to the origin as the vehicle spins ever faster.
     """
-    if not (rho_pos < 0.0 < rho_theta):
-        raise ValueError("study expects rho_pos < 0 and rho_theta > 0")
+    if not (-math.inf < rho_pos < 0.0 < rho_theta < math.inf):
+        raise ValueError("study expects finite gains rho_pos < 0 and rho_theta > 0")
     q0 = np.asarray(q0, float)
     theta0 = float(q0[2])
     ts, Xs = propagate_fast_attitude(q0[:2], theta0, rho_pos, rho_theta, horizon)
     theta_final = theta0 * math.exp(rho_theta * horizon)
-    norms = np.linalg.norm(Xs, axis=1)
+    norms = [math.hypot(*X) for X in Xs]
     return RotationStudyReport(
         times=tuple(float(t) for t in ts),
         position_norms=tuple(float(n) for n in norms),
@@ -193,4 +196,4 @@ def brockett_scan(theta0: float) -> BrockettScanReport:
 
 
 def report_json(report) -> str:
-    return json.dumps(dataclasses.asdict(report), indent=2)
+    return json.dumps(dataclasses.asdict(report), indent=2, allow_nan=False)

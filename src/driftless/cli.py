@@ -8,6 +8,7 @@ mirror with metadata.  Angles are radians.  Exit codes:
     2  invalid configuration (argparse errors also exit 2)
     3  divergence guard tripped
     4  switching condition never met
+       (on 3 and 4, --out receives the trajectory up to the stop)
     5  degenerate attitude without --degenerate
     6  requested check or comparison failed
 """
@@ -27,6 +28,7 @@ from .errors import (
     DegenerateAttitudeError,
     DivergenceError,
     DriftlessError,
+    StoppedRunError,
     SwitchTimeoutError,
 )
 from .simulate import GainConfig, IntegratorConfig, Trajectory
@@ -100,17 +102,7 @@ def _config_echo(args) -> dict:
 def cmd_simulate(args) -> int:
     q0 = _parse_q0(args.q0)
     gains = GainConfig(rho_pos=args.rho_pos, rho_theta=args.rho_theta)
-    cfg = _integrator_config(args)
-    try:
-        traj = simulate.integrate_unicycle(q0, gains, cfg)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.trajectory is not None and args.out:
-            _write_trajectory(
-                exc.trajectory, _out_path(args.out, "trajectory.csv"), args.format,
-                {"config": _config_echo(args), "diverged": True},
-            )
-        return EXIT_DIVERGED
+    traj = simulate.integrate_unicycle(q0, gains, _integrator_config(args))
     path = _out_path(args.out, f"trajectory.{args.format}")
     _write_trajectory(traj, path, args.format, {"config": _config_echo(args)})
     print(path)
@@ -134,17 +126,22 @@ def cmd_closed_form(args) -> int:
     dt = _sample_dt(args)
     if not 0.0 <= args.t_end < math.inf:
         raise ConfigError(f"--t-end must be nonnegative, got {args.t_end}")
+    if args.t_end / dt > simulate.MAX_NODES:
+        raise ConfigError(f"--t-end / --sample-dt = {args.t_end / dt:.3g} exceeds the "
+                          f"budget of {simulate.MAX_NODES:g} samples")
     times = np.arange(0.0, args.t_end + 0.5 * dt, dt)
     if q0[2] == 0.0 and args.degenerate:
-        X = closedform.degenerate_eval(q0[0], q0[1], -1.0, times)
+        X = closedform.degenerate_eval(q0[0], q0[1], times)
         states = np.column_stack((X, np.zeros_like(times)))
     else:
         st = closedform.eval_solution(closedform.fit_solution(q0[:2], q0[2]), times)
         states = np.column_stack((st.X, st.theta))
         del st  # z1, z2, X would outlive the writer: 10 MB more peak RSS at 152k samples
-    # energy via the closed-loop identity E = (rho/2)(||q||^2 - ||q0||^2), rho=-1
-    norms2 = np.sum(states**2, axis=1)
-    energy = 0.5 * (norms2[0] - norms2)
+    # energy via the closed-loop identity E = (rho/2)(||q||^2 - ||q0||^2), in
+    # this order so that E(0) = +0.0; Trajectory refuses one that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms2 = np.sum(states**2, axis=1)
+        energy = -0.5 * closedform.RHO * (norms2[0] - norms2)
     traj = Trajectory(times, states, energy)
     path = _out_path(args.out, f"closed_form.{args.format}")
     _write_trajectory(traj, path, args.format, {"config": _config_echo(args)})
@@ -155,7 +152,7 @@ def cmd_closed_form(args) -> int:
 def cmd_fit(args) -> int:
     q0 = _parse_q0(args.q0)
     c1, c2 = closedform.fit_constants(q0[:2], q0[2])
-    print(json.dumps({"theta0": q0[2], "c1": c1, "c2": c2}, indent=2))
+    print(json.dumps({"theta0": q0[2], "c1": c1, "c2": c2}, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -164,12 +161,12 @@ def cmd_compare(args) -> int:
     dt, tol = _sample_dt(args), _tol(args)
     cfg = _integrator_config(args)
     if q0[2] == 0.0 and args.degenerate:
-        position = lambda t: closedform.degenerate_eval(q0[0], q0[1], -1.0, t)
+        position = lambda t: closedform.degenerate_eval(q0[0], q0[1], t)
     else:
         # fit before integrating: a degenerate start fails before the RK4 run
         sol = closedform.fit_solution(q0[:2], q0[2])
         position = lambda t: closedform.eval_solution(sol, t).X
-    traj = simulate.integrate_unicycle(q0, GainConfig(-1.0, -1.0), cfg)
+    traj = simulate.integrate_unicycle(q0, GainConfig(closedform.RHO, closedform.RHO), cfg)
     # adaptive nodes have no fixed spacing to stride over
     stride = max(1, int(round(dt / cfg.step))) if cfg.method == "rk4" else 1
     ref = position(traj.times[::stride])
@@ -182,29 +179,25 @@ def cmd_compare(args) -> int:
         "tol": tol,
         "passed": bool(np.max(err) <= tol),
     }
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
 def cmd_analyze(args) -> int:
     q0 = _parse_q0(args.q0)
+    gains = GainConfig(rho_pos=args.rho_pos, rho_theta=args.rho_theta)  # refuses non-finite gains
     # fitted for rho = -1; every equal negative pair traces the same path in theta
     if args.what in ("asymptotics", "brockett") and not args.rho_pos == args.rho_theta < 0.0:
         raise ConfigError(f"--what {args.what} needs equal negative gains, got "
                           f"--rho-pos {args.rho_pos:g} --rho-theta {args.rho_theta:g}")
     if args.what == "stability":
         tol = _tol(args)
-        gains = GainConfig(rho_pos=args.rho_pos, rho_theta=args.rho_theta)
         cfg = _integrator_config(args)
         try:
             traj = simulate.integrate_unicycle(q0, gains, cfg)
         except DivergenceError as exc:
-            print(
-                json.dumps(
-                    {"energy_bounded": False, "diverged": True, "detail": str(exc)},
-                    indent=2,
-                )
-            )
+            report = {"energy_bounded": False, "diverged": True, "detail": str(exc)}
+            print(json.dumps(report, indent=2, allow_nan=False))
             return EXIT_FAILED
         cert = analysis.certify_stability(
             traj, lambda q: simulate.unicycle_field(q, gains), tol=tol
@@ -247,7 +240,7 @@ def cmd_switch(args) -> int:
         args.format,
         {"config": _config_echo(args), "switch_time": result.switch_time},
     )
-    print(json.dumps({"switch_time": result.switch_time, "output": path}))
+    print(json.dumps({"switch_time": result.switch_time, "output": path}, allow_nan=False))
     return EXIT_OK
 
 
@@ -275,7 +268,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        extra.extend([f"--{key.replace('_', '-')}", value])
+        # one token, so that a value with a leading minus is not read as an option
+        extra.append(f"--{key.replace('_', '-')}={value}")
     return argv[:i] + extra + argv[i + 2 :]
 
 
@@ -358,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    args = None
     try:
         argv = _apply_config_file(argv)
         try:
@@ -373,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, DriftlessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        partial = exc.trajectory if isinstance(exc, StoppedRunError) else None
+        if partial is not None and getattr(args, "out", None):
+            meta = {"config": _config_echo(args), "stopped": str(exc)}
+            _write_trajectory(partial, _out_path(args.out, ""), args.format, meta)
         return next((c for cls, c in ERROR_EXITS if isinstance(exc, cls)), EXIT_INVALID)
 
 

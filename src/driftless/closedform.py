@@ -167,12 +167,12 @@ def eval_solution(sol: ClosedFormSolution, t: float) -> ClosedFormState:
     return ClosedFormState(theta=theta, z1=z1, z2=z2, X=X.T if grid else X)
 
 
-def degenerate_eval(x0: float, y0: float, rho: float, t: float) -> np.ndarray:
+def degenerate_eval(x0: float, y0: float, t: float) -> np.ndarray:
     """Position when the attitude is identically zero; n x 2 for a 1-D array t.
 
-    The closed loop reduces to x' = rho x, y' = 0.
+    The closed loop reduces to x' = RHO x, y' = 0.
     """
-    x = x0 * _math(math.exp, rho * t)
+    x = x0 * _math(math.exp, RHO * t)
     if isinstance(t, np.ndarray):
         return np.column_stack((x, np.full(t.shape, y0)))
     return np.array([x, y0])

@@ -21,23 +21,20 @@ class DegenerateAttitudeError(DriftlessError, ValueError):
     """The attitude is identically zero; use the degenerate closed form."""
 
 
-class DivergenceError(DriftlessError, RuntimeError):
-    """State norm exceeded the divergence guard during integration.
-
-    Carries the partial trajectory computed up to the abort point.
-    """
+class StoppedRunError(DriftlessError, RuntimeError):
+    """A run stopped before its horizon; carries the partial trajectory up to the stop."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
 
 
-class SwitchTimeoutError(DriftlessError, RuntimeError):
+class DivergenceError(StoppedRunError):
+    """State norm exceeded the divergence guard during integration."""
+
+
+class SwitchTimeoutError(StoppedRunError):
     """The switching condition was never met before the time horizon."""
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 class InconclusiveError(DriftlessError, RuntimeError):

@@ -31,6 +31,9 @@ from .core import VectorFieldSet, as_state
 from .errors import DivergenceError, RangeError, SwitchTimeoutError
 
 DIVERGENCE_FACTOR = 1e6
+# stored nodes of one run (rk4 t_end / step, closed-form samples): a JSON
+# export peaks at about 1.1 kB per node, so an accepted run stays under 2 GB RSS
+MAX_NODES = 1_500_000
 # propagate_fast_attitude: per step, at most FAST_STEP_S rad of attitude turn
 # and |rho_pos| dt <= FAST_STEP_POS; FAST_SAMPLES + 1 outputs, FAST_CHUNK steps
 # per transition product
@@ -75,6 +78,9 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive and finite")
         if not 0.0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
+        if self.method == "rk4" and self.t_end / self.step > MAX_NODES:
+            raise RangeError(f"t_end / step = {self.t_end / self.step:.3g} exceeds the "
+                             f"budget of {MAX_NODES:g} stored nodes")
 
 
 def _unicycle_rhs(x, y, th, rho_pos, rho_theta):
@@ -112,6 +118,8 @@ class Trajectory:
             raise ValueError("times/states/energy length mismatch")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
+        if not np.all(np.isfinite(self.energy)):
+            raise RangeError("the energy integral overflows a double: start or gains too large")
 
     @property
     def final_state(self) -> np.ndarray:
@@ -125,7 +133,8 @@ class Trajectory:
         energy = np.zeros(len(times))
         if len(times) > 1:
             dt = np.diff(times)
-            energy[1:] = np.cumsum(0.5 * (rates[:-1] + rates[1:]) * dt)
+            with np.errstate(over="ignore"):  # an infinite energy is refused on construction
+                energy[1:] = np.cumsum(0.5 * (rates[:-1] + rates[1:]) * dt)
         return Trajectory(times, states, energy)
 
     def to_csv(self, path: str) -> None:
@@ -139,15 +148,10 @@ class Trajectory:
     def to_json(self, path: str, meta: dict | None = None) -> None:
         payload = {
             "meta": {"tool_version": __version__, **(meta or {})},
-            "columns": ["t", "x_c", "y_c", "theta", "energy"],
-            "rows": [
-                [t, q[0], q[1], q[2], e]
-                for t, q, e in zip(
-                    self.times.tolist(), self.states.tolist(), self.energy.tolist()
-                )
-            ],
+            "columns": CSV_HEADER.split(","),
+            "rows": np.column_stack((self.times, self.states, self.energy)).tolist(),
         }
-        _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+        _atomic_write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -155,6 +159,10 @@ def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
+            # mkstemp makes the file 0600; give it the mode that open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -235,7 +243,7 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
     (with the partial trajectory attached by the caller) when the state norm
     explodes, or the adaptive step collapses or meets a NaN error estimate.
     """
-    guard = DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(q0)))
+    guard = DIVERGENCE_FACTOR * max(1.0, math.hypot(*q0))
     t, q = t0, [float(v) for v in q0]
     if cfg.method == "rk4":
         n_steps = max(1, int(round((cfg.t_end - t0) / cfg.step)))
@@ -274,8 +282,10 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
 
 
 def _rates(f, states):
-    """Squared speeds |f(q)|^2, the energy integrand, at the given states."""
-    return [float(np.dot(d, d)) for d in (np.array(f(0.0, q)) for q in states)]
+    """Squared speeds |f(q)|^2, the energy integrand, at the given states
+    (inf where one overflows: the Trajectory refuses it)."""
+    with np.errstate(over="ignore"):
+        return [float(np.dot(d, d)) for d in (np.array(f(0.0, q)) for q in states)]
 
 
 def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
@@ -314,7 +324,7 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     rhs, rp, rt = _unicycle_rhs, gains.rho_pos, gains.rho_theta
     n_steps = max(1, int(round(cfg.t_end / cfg.step)))
     h = cfg.t_end / n_steps
-    guard = DIVERGENCE_FACTOR * max(1.0, math.sqrt(float(q0 @ q0)))
+    guard = DIVERGENCE_FACTOR * max(1.0, math.hypot(*q0))
     x, y, th = float(q0[0]), float(q0[1]), float(q0[2])
     times = [0.0]
     states = [x, y, th]  # flat, three values per node

@@ -59,6 +59,14 @@ class TestCertifyStability:
         with pytest.raises(InconclusiveError):
             certify_stability(stub, lambda q: unicycle_field(q, STABLE), tol=1e-6)
 
+    def test_state_norm_beyond_sqrt_of_max_double(self):
+        # zero position gain: the position stays at 1e300, |q|^2 overflows
+        # but the energy integral does not
+        gains = GainConfig(0.0, -1.0)
+        traj = integrate_unicycle([1e300, 0.0, 0.5], gains, IntegratorConfig(step=1e-2, t_end=5.0))
+        cert = certify_stability(traj, lambda q: unicycle_field(q, gains), tol=1e-6)
+        assert cert.norm_monotone and math.isfinite(cert.final_speed)
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
     def test_tol_must_be_positive_and_finite(self, tol):
         # NaN would fail every run and inf pass every run

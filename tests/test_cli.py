@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,7 +160,7 @@ def per_sample_closed_form(path, q0, t_end, dt, degenerate):
     """cmd_closed_form as a loop of point evaluations, the reference for the grid."""
     times = np.arange(0.0, t_end + 0.5 * dt, dt)
     if degenerate:
-        states = [(*degenerate_eval(q0[0], q0[1], -1.0, t).tolist(), 0.0) for t in times]
+        states = [(*degenerate_eval(q0[0], q0[1], t).tolist(), 0.0) for t in times]
     else:
         sol = fit_solution(np.array(q0[:2]), q0[2])
         points = (eval_solution(sol, t) for t in times)
@@ -428,6 +430,14 @@ def test_config_file_expansion(tmp_path, capsys):
     assert rows[-1, 0] == 2.0
 
 
+def test_config_value_with_leading_minus(tmp_path, capsys):
+    # a value such as -1,0,0.5 is not read as an option
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q0 = -1,0,0.5\nrho = -1\nt_end = 1\n")
+    code, _, err = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "c.csv"))
+    assert code == EXIT_OK, err
+
+
 def test_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals\n")
@@ -444,3 +454,115 @@ def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert (tmp_path / "envtest.csv").exists()
+
+
+PARTIAL_RUNS = [
+    # the attitude 0.5 e^t passes the guard 1.5e6 near t = 15
+    (["simulate", "--q0", "1,1,0.5", "--rho-pos", "-1", "--rho-theta", "1", "--t-end", "30"],
+     EXIT_DIVERGED),
+    (["switch", "--q0", "1,1,0.5", "--step", "0.5", "--switch-radius", "1e-9", "--t-end", "30"],
+     EXIT_DIVERGED),
+    (["switch", "--q0", "1,1,0.5", "--method", "rk45", "--t-end", "0.1"], EXIT_TIMEOUT),
+]
+
+
+def read_trajectory(path, fmt):
+    """(meta or None, rows) of a written trajectory, refusing non-JSON numbers."""
+    if fmt == "json":
+        payload = strict_json(path.read_text())
+        return payload["meta"], np.array(payload["rows"], float)
+    assert path.read_text().splitlines()[0] == simulate.CSV_HEADER
+    return None, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, code", PARTIAL_RUNS,
+                         ids=["simulate-diverged", "switch-diverged", "switch-timeout"])
+def test_stopped_run_writes_partial_trajectory(tmp_path, capsys, argv, code, fmt):
+    out = tmp_path / f"partial.{fmt}"
+    got, stdout, err = run(capsys, *argv, "--format", fmt, "--out", str(out))
+    assert got == code and stdout == ""
+    t_stop = float(re.search(r"t=(\S+)", err).group(1))
+    meta, rows = read_trajectory(out, fmt)
+    assert rows.shape[0] > 1 and rows.shape[1] == 5 and np.all(np.isfinite(rows))
+    # a diverged run keeps no node from the guard on; a timed-out one ends at the horizon
+    if code == EXIT_DIVERGED:
+        assert rows[-1, 0] < t_stop
+    else:
+        assert rows[-1, 0] == pytest.approx(t_stop, rel=1e-12)
+    if meta is not None:
+        assert "error: " + meta["stopped"] == err.strip()
+
+
+def test_stopped_run_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, _, _ = run(capsys, *PARTIAL_RUNS[0][0])
+    assert code == EXIT_DIVERGED and list(tmp_path.iterdir()) == []
+
+
+LARGE_START_RUNS = [
+    ["simulate", "--rho", "-1", "--format", "json"],
+    ["compare"],
+    ["analyze", "--what", "stability"],
+    ["closed-form", "--format", "json"],
+    ["switch", "--format", "json"],
+]
+LARGE_START_IDS = ["simulate", "compare", "stability", "closed-form", "switch"]
+
+
+@pytest.mark.parametrize("argv", LARGE_START_RUNS, ids=LARGE_START_IDS)
+def test_overflowing_energy_is_invalid(tmp_path, capsys, monkeypatch, argv):
+    # |q0|^2 = 1e400 overflows a double, so the energy integral does
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--q0", "1e200,0,1", "--t-end", "1")
+    assert code == EXIT_INVALID and out == ""
+    assert "energy integral overflows" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", LARGE_START_RUNS[:4], ids=LARGE_START_IDS[:4])
+def test_large_start_that_fits_is_finite(tmp_path, capsys, monkeypatch, argv):
+    # |q0|^2 = 1e300 fits: the run is answered, with finite numbers only
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--q0", "1e150,0,1", "--t-end", "1")
+    assert code in (EXIT_OK, EXIT_FAILED), err
+    if argv[0] in ("simulate", "closed-form"):
+        _, rows = read_trajectory(Path(out.strip()), "json")
+        assert np.all(np.isfinite(rows))
+    else:
+        strict_json(out)
+
+
+def test_rho_positive_large_start_is_finite(capsys):
+    code, out, _ = run(capsys, "analyze", "--what", "rho-positive", "--q0", "1e200,0,1",
+                       "--rho-theta", "1", "--t-end", "5")
+    assert code == EXIT_OK
+    assert strict_json(out)["position_norms"][0] == 1e200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed-form", "--q0", "1,0,1", "--t-end", "1e15", "--sample-dt", "1e-3"],
+        ["simulate", "--q0", "1,0,1", "--rho", "-1", "--t-end", "1e7"],
+        ["compare", "--q0", "1,0,1", "--step", "1e-300"],
+        ["switch", "--q0", "1,1,0.5", "--t-end", "1e300"],
+    ],
+    ids=["closed-form", "simulate", "compare", "switch"],
+)
+def test_node_budget_is_invalid(tmp_path, capsys, monkeypatch, argv):
+    # refused before anything is allocated or integrated
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    monkeypatch.setattr(simulate, "integrate_unicycle", never)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert "budget" in err
+
+
+def test_closed_form_budget_boundary(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    monkeypatch.setattr(simulate, "MAX_NODES", 8)
+    code, _, _ = run(capsys, "closed-form", "--q0", "1,0,1", "--t-end", "2", "--sample-dt", "0.25")
+    assert code == EXIT_OK
+    code, _, err = run(capsys, "closed-form", "--q0", "1,0,1", "--t-end", "2.25", "--sample-dt", "0.25")
+    assert code == EXIT_INVALID and "budget" in err

@@ -1,0 +1,106 @@
+"""Input-domain properties of the command line: every subcommand and numeric
+flag, fed the edge values nan, +-inf, 0, -1, 1e-300 and 1e300 on the command
+line or through a --config file, exits with a documented code, and every
+value that README's exit-code paragraph calls invalid exits 2."""
+
+import contextlib
+import io
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from driftless import cli, simulate
+from test_cli import strict_json
+
+EDGE = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+INTEGRATOR = ("--t-end", "--step", "--abs-tol", "--rel-tol")
+# (argv, numeric flags it reads); small horizons keep an example to milliseconds
+COMMANDS = {
+    "simulate": (["simulate", "--rho-pos=-1", "--rho-theta=-1", "--t-end=1", "--step=0.01"],
+                 INTEGRATOR + ("--rho", "--rho-pos", "--rho-theta")),
+    "closed-form": (["closed-form", "--t-end=1", "--sample-dt=0.01"], ("--t-end", "--sample-dt")),
+    "fit": (["fit"], ()),
+    "compare": (["compare", "--t-end=1", "--step=0.01", "--sample-dt=0.01"],
+                INTEGRATOR + ("--sample-dt", "--tol")),
+    "stability": (["analyze", "--what=stability", "--t-end=1", "--step=0.01"],
+                  INTEGRATOR + ("--rho-pos", "--rho-theta", "--tol")),
+    "asymptotics": (["analyze", "--what=asymptotics"], ("--rho-pos", "--rho-theta")),
+    "brockett": (["analyze", "--what=brockett"], ("--rho-pos", "--rho-theta")),
+    "rho-positive": (["analyze", "--what=rho-positive", "--rho-theta=1", "--t-end=1"],
+                     ("--t-end", "--rho-pos", "--rho-theta")),
+    "switch": (["switch", "--t-end=1", "--step=0.01"],
+               INTEGRATOR + ("--rho-pos", "--rho-theta", "--rho-theta-after-switch", "--switch-radius")),
+}
+JSON_STDOUT = {"fit", "compare", "stability", "asymptotics", "brockett", "rho-positive", "switch"}
+
+
+def positive(v):
+    return 0.0 < v < math.inf
+
+
+def documented_invalid(name, args):
+    """True where README's exit-code paragraph promises exit 2 for the parsed args."""
+    if not all(math.isfinite(float(v)) for v in args.q0.split(",")):
+        return True
+    if name == "closed-form":
+        return (not (0.0 <= args.t_end < math.inf and positive(args.sample_dt))
+                or args.t_end / args.sample_dt > simulate.MAX_NODES)
+    if name == "fit":
+        return False
+    gains = [getattr(args, k, 0.0) for k in ("rho_pos", "rho_theta", "rho_theta_after_switch")]
+    if getattr(args, "rho", None) is not None:  # simulate's --rho sets both gains
+        gains = [args.rho]
+    if not all(map(math.isfinite, gains)):
+        return True
+    if name in ("asymptotics", "brockett"):
+        return not args.rho_pos == args.rho_theta < 0.0
+    if name == "rho-positive":
+        return not (args.rho_pos < 0.0 < args.rho_theta and positive(args.t_end))
+    if name == "switch" and not (args.rho_pos < 0.0 < args.rho_theta
+                                 and args.rho_theta_after_switch < 0.0 and args.switch_radius > 0.0):
+        return True
+    if not all(positive(v) for v in (args.t_end, args.step, args.abs_tol, args.rel_tol)):
+        return True
+    if not all(positive(getattr(args, k, 1.0)) for k in ("sample_dt", "tol")):
+        return True
+    return args.t_end / args.step > simulate.MAX_NODES  # the default method, rk4
+
+
+@st.composite
+def invocations(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    base, flags = COMMANDS[name]
+    q0 = [draw(st.sampled_from(EDGE + ("1", "0.5"))) for _ in range(3)]
+    picked = sorted(draw(st.sets(st.sampled_from(flags)))) if flags else []
+    chosen = {f: draw(st.sampled_from(EDGE)) for f in picked}
+    return name, q0, chosen, draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("domain")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(invocations())
+def test_edge_values_exit_as_documented(workdir, case):
+    name, q0, chosen, via_config = case
+    base, _ = COMMANDS[name]
+    argv = base + ["--q0=" + ",".join(q0)]
+    if via_config:
+        path = workdir / "edge.cfg"
+        path.write_text("".join(f"{f[2:].replace('-', '_')} = {v}\n" for f, v in chosen.items()))
+        argv += ["--config", str(path)]
+    else:
+        argv += [f"{f}={v}" for f, v in chosen.items()]
+    if name in ("simulate", "closed-form", "switch"):
+        argv += ["--out", str(workdir / "edge.out")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception here is the traceback and exit 1 of a real run
+    assert code in (0, 2, 3, 4, 5, 6), (argv, err.getvalue())
+    if documented_invalid(name, cli.build_parser().parse_args(cli._apply_config_file(argv))):
+        assert code == cli.EXIT_INVALID, (argv, code, err.getvalue())
+    if name in JSON_STDOUT and out.getvalue():
+        strict_json(out.getvalue())

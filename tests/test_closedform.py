@@ -158,24 +158,24 @@ class TestGridEval:
 
     def test_degenerate_grid_matches_points(self):
         t = np.linspace(0.0, 800.0, 57)
-        want = np.array([degenerate_eval(1.0, 2.0, -1.0, v) for v in t])
-        assert degenerate_eval(1.0, 2.0, -1.0, t).tobytes() == want.tobytes()
+        want = np.array([degenerate_eval(1.0, 2.0, v) for v in t])
+        assert degenerate_eval(1.0, 2.0, t).tobytes() == want.tobytes()
 
 
 class TestDegenerateEval:
     def test_exact_exponential(self):
-        X = degenerate_eval(1.0, 2.0, -1.0, 1.0)
+        X = degenerate_eval(1.0, 2.0, 1.0)
         assert np.allclose(X, [math.exp(-1.0), 2.0])
 
     def test_y_axis_equilibrium(self):
-        assert np.allclose(degenerate_eval(0.0, 5.0, -2.0, 7.0), [0.0, 5.0])
+        assert np.allclose(degenerate_eval(0.0, 5.0, 7.0), [0.0, 5.0])
 
     def test_matches_rk4_oracle(self):
         traj = integrate_unicycle(
             [1.0, 2.0, 0.0], GainConfig(-1, -1), IntegratorConfig(step=1e-3, t_end=1.0)
         )
         assert np.allclose(
-            degenerate_eval(1.0, 2.0, -1.0, 1.0), traj.final_state[:2], atol=1e-8
+            degenerate_eval(1.0, 2.0, 1.0), traj.final_state[:2], atol=1e-8
         )
 
 

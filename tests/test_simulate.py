@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from driftless.core import closed_loop_field
-from driftless.errors import DivergenceError, SwitchTimeoutError
+from driftless.errors import DivergenceError, RangeError, SwitchTimeoutError
 from driftless.simulate import (
+    MAX_NODES,
     _DP_A,
     _DP_B4,
     _DP_B5,
@@ -348,7 +351,9 @@ class TestTrajectoryIO:
 
         special = [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 0.1, -1.5e-300]
         states = np.array([special[i:i + 3] for i in range(6)])
-        traj = Trajectory(np.arange(6) * 0.1, states, np.array(special[2:]))
+        # a Trajectory refuses a non-finite energy, so that column takes the finite specials
+        energy = np.array([v for v in special if math.isfinite(v)] + [0.0])
+        traj = Trajectory(np.arange(6) * 0.1, states, energy)
         path = tmp_path / "out.csv"
         traj.to_csv(str(path))
         assert path.read_bytes() == per_value_csv(traj).encode()
@@ -368,3 +373,33 @@ class TestTrajectoryIO:
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_energy_is_refused(self, bad):
+        with pytest.raises(RangeError, match="energy integral overflows"):
+            Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)), np.array([0.0, bad]))
+
+    def test_overflowing_rates_are_refused(self):
+        # r0 + r1 overflows in the trapezoid sum: a RangeError, not a RuntimeWarning
+        with pytest.raises(RangeError, match="energy integral overflows"):
+            Trajectory.from_samples([0.0, 1.0], np.zeros((2, 3)), [1e308, 1e308])
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+    def test_file_mode_follows_umask(self, tmp_path, umask, writer):
+        traj = self.make()
+        old = os.umask(umask)
+        try:
+            getattr(traj, writer)(str(tmp_path / "out"))
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
+
+
+def test_rk4_nodes_beyond_budget_are_refused():
+    IntegratorConfig(step=0.25, t_end=MAX_NODES * 0.25)
+    with pytest.raises(RangeError, match="budget"):
+        IntegratorConfig(step=0.25, t_end=(MAX_NODES + 1) * 0.25)
