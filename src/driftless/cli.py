@@ -67,22 +67,18 @@ def _parse_q0(text: str) -> np.ndarray:
 
 
 def _out_path(path: str | None, default_name: str) -> str:
+    """The output path, in a directory that exists (checked before any run)."""
     base = os.environ.get(OUT_DIR_ENV, ".")
-    if path is None:
-        return os.path.join(base, default_name)
-    if os.path.isabs(path) or os.path.dirname(path):
-        return path
-    return os.path.join(base, path)
+    if path is None or not (os.path.isabs(path) or os.path.dirname(path)):
+        path = os.path.join(base, path or default_name)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"output directory {os.path.dirname(path)!r} does not exist")
+    return path
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=args.method,
-        step=args.step,
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        t_end=args.t_end,
-    )
+    return IntegratorConfig(method=args.method, step=args.step, abs_tol=args.abs_tol,
+                            rel_tol=args.rel_tol, t_end=args.t_end)
 
 
 def _write_trajectory(traj: Trajectory, path: str, fmt: str, meta: dict) -> None:
@@ -93,17 +89,14 @@ def _write_trajectory(traj: Trajectory, path: str, fmt: str, meta: dict) -> None
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
 
 
 def cmd_simulate(args) -> int:
     q0 = _parse_q0(args.q0)
     gains = GainConfig(rho_pos=args.rho_pos, rho_theta=args.rho_theta)
-    traj = simulate.integrate_unicycle(q0, gains, _integrator_config(args))
     path = _out_path(args.out, f"trajectory.{args.format}")
+    traj = simulate.integrate_unicycle(q0, gains, _integrator_config(args))
     _write_trajectory(traj, path, args.format, {"config": _config_echo(args)})
     print(path)
     return EXIT_OK
@@ -129,6 +122,7 @@ def cmd_closed_form(args) -> int:
     if args.t_end / dt > simulate.MAX_NODES:
         raise ConfigError(f"--t-end / --sample-dt = {args.t_end / dt:.3g} exceeds the "
                           f"budget of {simulate.MAX_NODES:g} samples")
+    path = _out_path(args.out, f"closed_form.{args.format}")
     times = np.arange(0.0, args.t_end + 0.5 * dt, dt)
     if q0[2] == 0.0 and args.degenerate:
         X = closedform.degenerate_eval(q0[0], q0[1], times)
@@ -143,7 +137,6 @@ def cmd_closed_form(args) -> int:
         norms2 = np.sum(states**2, axis=1)
         energy = -0.5 * closedform.RHO * (norms2[0] - norms2)
     traj = Trajectory(times, states, energy)
-    path = _out_path(args.out, f"closed_form.{args.format}")
     _write_trajectory(traj, path, args.format, {"config": _config_echo(args)})
     print(path)
     return EXIT_OK
@@ -232,8 +225,8 @@ def cmd_switch(args) -> int:
         switch_radius=args.switch_radius,
         rho_theta_after_switch=args.rho_theta_after_switch,
     )
-    result = simulate.run_switching(q0, gains, _integrator_config(args))
     path = _out_path(args.out, f"switch.{args.format}")
+    result = simulate.run_switching(q0, gains, _integrator_config(args))
     _write_trajectory(
         result.trajectory,
         path,
@@ -366,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.rho_pos is None or args.rho_theta is None:
                 raise ConfigError("simulate needs --rho or both --rho-pos/--rho-theta")
         return args.func(args)
-    except (ValueError, DriftlessError) as exc:
+    except (ValueError, DriftlessError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         partial = exc.trajectory if isinstance(exc, StoppedRunError) else None
         if partial is not None and getattr(args, "out", None):

@@ -58,9 +58,11 @@ def _math(fn, x):
 
 
 def from_z_frame(Z, theta: float) -> np.ndarray:
-    """Inverse frame change: X = R(theta) Z, with Z as in to_z_frame and theta per column."""
+    """Inverse frame change: X = R(theta) Z, with Z as in to_z_frame and theta per column.
+
+    A scalar theta takes float arithmetic and builds one array, at the end."""
     c, s = _math(math.cos, theta), _math(math.sin, theta)
-    z1, z2 = np.asarray(Z, float)
+    z1, z2 = np.asarray(Z, float) if isinstance(theta, np.ndarray) else map(float, Z)
     return np.array((c * z1 - s * z2, s * z1 + c * z2))
 
 

@@ -494,6 +494,43 @@ def test_stopped_run_writes_partial_trajectory(tmp_path, capsys, argv, code, fmt
         assert "error: " + meta["stopped"] == err.strip()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--q0", "1,0,1", "--rho-pos", "-1", "--rho-theta", "1e300", "--t-end", "1"],
+    ["switch", "--q0", "1,1,1", "--method", "rk4", "--rho-theta", "1e300", "--t-end", "1"],
+], ids=["simulate", "switch"])
+def test_overflowing_attitude_stage_diverges(tmp_path, capsys, argv):
+    # the first step's attitude stages overflow to inf: a diverged run, not an
+    # invalid input ("math domain error" from cos(inf))
+    out = tmp_path / "partial.csv"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == EXIT_DIVERGED and stdout == ""
+    assert "guard at t=0.001" in err
+    _, rows = read_trajectory(out, "csv")
+    assert rows.tolist() == [[0.0, *map(float, argv[2].split(",")), 0.0]]
+
+
+def test_out_in_missing_directory_is_invalid(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "integrate_unicycle", never)
+    missing = tmp_path / "missing"
+    code, stdout, err = run(
+        capsys, "simulate", "--q0", "1,0,1", "--rho", "-1", "--out", str(missing / "x.csv")
+    )
+    assert code == EXIT_INVALID and stdout == ""
+    assert f"output directory {str(missing)!r} does not exist" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_out_is_invalid(tmp_path, capsys):
+    # the path is a directory: the write fails after the run, and no .part file stays
+    (tmp_path / "x.csv").mkdir()
+    code, stdout, err = run(
+        capsys, "simulate", "--q0", "1,0,1", "--rho", "-1", "--t-end", "0.1",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == EXIT_INVALID and stdout == "" and err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
 def test_stopped_run_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
     code, _, _ = run(capsys, *PARTIAL_RUNS[0][0])

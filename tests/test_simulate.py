@@ -22,6 +22,7 @@ from driftless.simulate import (
     IntegratorConfig,
     Trajectory,
     _dp45_step,
+    _rk4_step,
     integrate,
     integrate_unicycle,
     propagate_fast_attitude,
@@ -97,13 +98,49 @@ class TestIntegrate:
         assert np.max(np.abs(traj.states[:, 2] - expected)) < 1e-9
 
     def test_fast_path_matches_generic(self):
+        # the transition form is the same RK4 with its sums reordered, so the
+        # states agree to rounding (8.4e-15 and 1.4e-14 measured), not bit for bit
         cfg = IntegratorConfig(step=1e-3, t_end=3.0)
-        fast = integrate_unicycle([1.0, 0.3, 0.9], EQUAL_GAINS, cfg)
-        slow = integrate(lambda q: unicycle_field(q, EQUAL_GAINS), [1.0, 0.3, 0.9], cfg)
-        assert np.array_equal(fast.times, slow.times)
-        assert np.array_equal(fast.states, slow.states)
-        # the generic path sums the squared speed with np.dot
-        assert np.allclose(fast.energy, slow.energy, atol=1e-12)
+        for gains in (EQUAL_GAINS, GainConfig(-1.0, -0.7)):
+            fast = integrate_unicycle([1.0, 0.3, 0.9], gains, cfg)
+            slow = integrate(lambda q: unicycle_field(q, gains), [1.0, 0.3, 0.9], cfg)
+            assert np.array_equal(fast.times, slow.times)
+            assert np.max(np.abs(fast.states - slow.states)) <= 1e-13
+            # the generic path sums the squared speed with np.dot
+            assert np.max(np.abs(fast.energy - slow.energy)) <= 1e-12
+
+    @pytest.mark.parametrize("gains", [(-1.0, -1.0), (-2.0, -0.5), (1.0, 1.0), (-1.0, 0.7)])
+    @pytest.mark.parametrize("q0", [(1.0, 0.3, 0.9), (-0.4, 2.0, -3.0), (0.0, 1.0, 25.0)])
+    def test_every_transition_step_is_rk4(self, gains, q0):
+        # each step equals _rk4_step from the same node to 4 ulp of the node
+        # (2 measured); another 4th-order method would miss by about h^5 = 3e-7
+        g = GainConfig(*gains)
+        traj = integrate_unicycle(q0, g, IntegratorConfig(step=0.05, t_end=5.0))
+        f = lambda t, q: unicycle_field(q, g)
+        for t, q, q_next in zip(traj.times, traj.states[:-1].tolist(), traj.states[1:]):
+            step = np.array(_rk4_step(f, t, q, 0.05))
+            assert np.max(np.abs(q_next - step)) <= 4 * np.spacing(max(map(abs, q)))
+
+    @pytest.mark.parametrize("gains, t_stop", [((1.0, 1.0), 15.17), ((2.0, -1.0), 6.95)])
+    def test_divergence_stops_at_the_rk4_node(self, gains, t_stop):
+        # the stop times are the scalar RK4 loop's, before the transition form
+        g, cfg = GainConfig(*gains), IntegratorConfig(step=1e-2, t_end=30.0)
+        with pytest.raises(DivergenceError, match=f"guard at t={t_stop:g}$") as fast:
+            integrate_unicycle([1.0, 0.5, 0.3], g, cfg)
+        with pytest.raises(DivergenceError, match=f"guard at t={t_stop:g}$") as slow:
+            integrate(lambda q: unicycle_field(q, g), [1.0, 0.5, 0.3], cfg)
+        a, b = fast.value.trajectory, slow.value.trajectory
+        assert np.array_equal(a.times, b.times) and a.times[-1] < t_stop
+        assert np.allclose(a.states[-1], b.states[-1], rtol=1e-9, atol=0.0)
+        assert np.all(np.isfinite(a.energy)) and np.all(np.diff(a.energy) >= 0.0)
+
+    @pytest.mark.parametrize("rho_theta", [1e300, -1e300])
+    def test_zero_attitude_survives_overflowing_attitude_gain(self, rho_theta):
+        # theta' = rho_theta theta keeps theta = 0; the stage factors overflow
+        g = GainConfig(-1.0, rho_theta)
+        traj = integrate_unicycle([1.0, 0.5, 0.0], g, IntegratorConfig(step=1e-2, t_end=1.0))
+        assert np.all(traj.states[:, 2] == 0.0) and np.all(traj.states[:, 1] == 0.5)
+        assert traj.final_state[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_rk45_matches_rk4(self):
         f = lambda q: unicycle_field(q, EQUAL_GAINS)
@@ -139,6 +176,14 @@ class TestIntegrate:
             integrate(lambda q: q, np.array([1.0]), IntegratorConfig(step=1e-2, t_end=50.0))
         assert excinfo.value.trajectory is not None
         assert len(excinfo.value.trajectory.times) > 1
+
+    def test_rk4_nan_state_diverges(self):
+        # a NaN state fails the guard as an infinite one does, and the run stops
+        # there instead of carrying NaN to the horizon
+        field = lambda q: np.full_like(q, np.nan) if q[0] > 1.2 else q
+        with pytest.raises(DivergenceError, match="guard at t=0.2$") as excinfo:
+            integrate(field, np.array([1.0]), IntegratorConfig(step=0.1, t_end=1.0))
+        assert excinfo.value.trajectory.times.tolist() == [0.0, 0.1]
 
     def test_energy_column_monotone(self):
         traj = integrate_unicycle([1.0, 1.0, -0.8], EQUAL_GAINS, IntegratorConfig(step=1e-3, t_end=8.0))
