@@ -5,7 +5,11 @@ Outputs use the fixed CSV schema (t, x_c, y_c, theta, energy) or a JSON
 mirror with metadata.  Angles are radians.  Exit codes:
 
     0  success
-    2  invalid configuration (argparse errors also exit 2)
+    2  invalid configuration (argparse errors also exit 2): a number that
+       is not finite, or a --t-end, --step, --abs-tol, --rel-tol,
+       --sample-dt, --tol or --switch-radius that is not positive
+       (closed-form's --t-end may be 0); an --out that is a directory or
+       in a missing one; a run over the node budget
     3  divergence guard tripped
     4  switching condition never met
        (on 3 and 4, --out receives the trajectory up to the stop)
@@ -47,6 +51,7 @@ ERROR_EXITS = (
 )
 
 OUT_DIR_ENV = "DRIFTLESS_OUT_DIR"
+POSITIVE = {"t_end", "step", "abs_tol", "rel_tol", "sample_dt", "tol", "switch_radius"}
 
 
 class ConfigError(ValueError):
@@ -73,7 +78,25 @@ def _out_path(path: str | None, default_name: str) -> str:
         path = os.path.join(base, path or default_name)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError(f"output directory {os.path.dirname(path)!r} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is a directory")
     return path
+
+
+def _check_numbers(args) -> None:
+    """One rule for every numeric flag, before any run: finite, and positive
+    where POSITIVE names it (closed-form's --t-end may be 0: one sample)."""
+    for key, value in vars(args).items():
+        if not isinstance(value, float):
+            continue
+        if key == "t_end" and args.command == "closed-form":
+            ok, what = 0.0 <= value < math.inf, "nonnegative and "
+        elif key in POSITIVE:
+            ok, what = 0.0 < value < math.inf, "positive and "
+        else:
+            ok, what = math.isfinite(value), ""
+        if not ok:
+            raise ConfigError(f"--{key.replace('_', '-')} must be {what}finite, got {value}")
 
 
 def _integrator_config(args) -> IntegratorConfig:
@@ -81,48 +104,33 @@ def _integrator_config(args) -> IntegratorConfig:
                             rel_tol=args.rel_tol, t_end=args.t_end)
 
 
-def _write_trajectory(traj: Trajectory, path: str, fmt: str, meta: dict) -> None:
-    if fmt == "csv":
+def _write(traj: Trajectory, path: str, args, **meta) -> None:
+    """Write a finished or stopped run in --format; JSON echoes the flags that are set."""
+    if args.format == "csv":
         traj.to_csv(path)
     else:
-        traj.to_json(path, meta=meta)
+        config = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("func", "out_name") and v is not None}
+        traj.to_json(path, meta={"config": config, **meta})
 
 
-def _config_echo(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-
-
-def cmd_simulate(args) -> int:
-    q0 = _parse_q0(args.q0)
+def cmd_simulate(args, q0, path) -> int:
+    if args.rho is not None:  # one gain for both loops, echoed as the pair
+        args.rho_pos = args.rho_theta = args.rho
+    if args.rho_pos is None or args.rho_theta is None:
+        raise ConfigError("simulate needs --rho or both --rho-pos/--rho-theta")
     gains = GainConfig(rho_pos=args.rho_pos, rho_theta=args.rho_theta)
-    path = _out_path(args.out, f"trajectory.{args.format}")
     traj = simulate.integrate_unicycle(q0, gains, _integrator_config(args))
-    _write_trajectory(traj, path, args.format, {"config": _config_echo(args)})
+    _write(traj, path, args)
     print(path)
     return EXIT_OK
 
 
-def _sample_dt(args) -> float:
-    if not 0.0 < args.sample_dt < math.inf:
-        raise ConfigError(f"--sample-dt must be positive, got {args.sample_dt}")
-    return args.sample_dt
-
-
-def _tol(args) -> float:
-    if not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-    return args.tol
-
-
-def cmd_closed_form(args) -> int:
-    q0 = _parse_q0(args.q0)
-    dt = _sample_dt(args)
-    if not 0.0 <= args.t_end < math.inf:
-        raise ConfigError(f"--t-end must be nonnegative, got {args.t_end}")
+def cmd_closed_form(args, q0, path) -> int:
+    dt = args.sample_dt
     if args.t_end / dt > simulate.MAX_NODES:
         raise ConfigError(f"--t-end / --sample-dt = {args.t_end / dt:.3g} exceeds the "
                           f"budget of {simulate.MAX_NODES:g} samples")
-    path = _out_path(args.out, f"closed_form.{args.format}")
     times = np.arange(0.0, args.t_end + 0.5 * dt, dt)
     if q0[2] == 0.0 and args.degenerate:
         X = closedform.degenerate_eval(q0[0], q0[1], times)
@@ -136,22 +144,18 @@ def cmd_closed_form(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         norms2 = np.sum(states**2, axis=1)
         energy = -0.5 * closedform.RHO * (norms2[0] - norms2)
-    traj = Trajectory(times, states, energy)
-    _write_trajectory(traj, path, args.format, {"config": _config_echo(args)})
+    _write(Trajectory(times, states, energy), path, args)
     print(path)
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    q0 = _parse_q0(args.q0)
+def cmd_fit(args, q0, path) -> int:
     c1, c2 = closedform.fit_constants(q0[:2], q0[2])
     print(json.dumps({"theta0": q0[2], "c1": c1, "c2": c2}, indent=2, allow_nan=False))
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    q0 = _parse_q0(args.q0)
-    dt, tol = _sample_dt(args), _tol(args)
+def cmd_compare(args, q0, path) -> int:
     cfg = _integrator_config(args)
     if q0[2] == 0.0 and args.degenerate:
         position = lambda t: closedform.degenerate_eval(q0[0], q0[1], t)
@@ -161,7 +165,7 @@ def cmd_compare(args) -> int:
         position = lambda t: closedform.eval_solution(sol, t).X
     traj = simulate.integrate_unicycle(q0, GainConfig(closedform.RHO, closedform.RHO), cfg)
     # adaptive nodes have no fixed spacing to stride over
-    stride = max(1, int(round(dt / cfg.step))) if cfg.method == "rk4" else 1
+    stride = max(1, int(round(args.sample_dt / cfg.step))) if cfg.method == "rk4" else 1
     ref = position(traj.times[::stride])
     err = np.abs(ref - traj.states[::stride, :2])
     report = {
@@ -169,31 +173,28 @@ def cmd_compare(args) -> int:
         "max_error_x": float(np.max(err[:, 0])),
         "max_error_y": float(np.max(err[:, 1])),
         "n_samples": len(ref),
-        "tol": tol,
-        "passed": bool(np.max(err) <= tol),
+        "tol": args.tol,
+        "passed": bool(np.max(err) <= args.tol),
     }
     print(json.dumps(report, indent=2, allow_nan=False))
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
-def cmd_analyze(args) -> int:
-    q0 = _parse_q0(args.q0)
-    gains = GainConfig(rho_pos=args.rho_pos, rho_theta=args.rho_theta)  # refuses non-finite gains
+def cmd_analyze(args, q0, path) -> int:
     # fitted for rho = -1; every equal negative pair traces the same path in theta
     if args.what in ("asymptotics", "brockett") and not args.rho_pos == args.rho_theta < 0.0:
         raise ConfigError(f"--what {args.what} needs equal negative gains, got "
                           f"--rho-pos {args.rho_pos:g} --rho-theta {args.rho_theta:g}")
     if args.what == "stability":
-        tol = _tol(args)
-        cfg = _integrator_config(args)
+        gains = GainConfig(rho_pos=args.rho_pos, rho_theta=args.rho_theta)
         try:
-            traj = simulate.integrate_unicycle(q0, gains, cfg)
+            traj = simulate.integrate_unicycle(q0, gains, _integrator_config(args))
         except DivergenceError as exc:
             report = {"energy_bounded": False, "diverged": True, "detail": str(exc)}
             print(json.dumps(report, indent=2, allow_nan=False))
             return EXIT_FAILED
         cert = analysis.certify_stability(
-            traj, lambda q: simulate.unicycle_field(q, gains), tol=tol
+            traj, lambda q: simulate.unicycle_field(q, gains), tol=args.tol
         )
         print(analysis.report_json(cert))
         return EXIT_OK if cert.passed else EXIT_FAILED
@@ -209,15 +210,12 @@ def cmd_analyze(args) -> int:
         print(analysis.report_json(report))
         ok = report.position_decays and report.attitude_grows
         return EXIT_OK if ok else EXIT_FAILED
-    if args.what == "brockett":
-        report = analysis.brockett_scan(q0[2])
-        print(analysis.report_json(report))
-        return EXIT_OK if report.all_feasible_aligned else EXIT_FAILED
-    raise ConfigError(f"unknown analysis {args.what!r}")
+    report = analysis.brockett_scan(q0[2])  # --what brockett
+    print(analysis.report_json(report))
+    return EXIT_OK if report.all_feasible_aligned else EXIT_FAILED
 
 
-def cmd_switch(args) -> int:
-    q0 = _parse_q0(args.q0)
+def cmd_switch(args, q0, path) -> int:
     gains = GainConfig(
         rho_pos=args.rho_pos,
         rho_theta=args.rho_theta,
@@ -225,14 +223,8 @@ def cmd_switch(args) -> int:
         switch_radius=args.switch_radius,
         rho_theta_after_switch=args.rho_theta_after_switch,
     )
-    path = _out_path(args.out, f"switch.{args.format}")
     result = simulate.run_switching(q0, gains, _integrator_config(args))
-    _write_trajectory(
-        result.trajectory,
-        path,
-        args.format,
-        {"config": _config_echo(args), "switch_time": result.switch_time},
-    )
+    _write(result.trajectory, path, args, switch_time=result.switch_time)
     print(json.dumps({"switch_time": result.switch_time, "output": path}, allow_nan=False))
     return EXIT_OK
 
@@ -275,9 +267,10 @@ def _add_common(p, t_end=10.0):
     p.add_argument("--rel-tol", type=float, default=1e-10)
 
 
-def _add_output(p):
+def _add_output(p, name):
     p.add_argument("--out", help=f"output path (default under ${OUT_DIR_ENV} or cwd)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.set_defaults(out_name=name)  # the default file is <name>.<format>
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, help="single gain for both loops")
     p.add_argument("--rho-pos", type=float)
     p.add_argument("--rho-theta", type=float)
-    _add_output(p)
+    _add_output(p, "trajectory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("closed-form", help="evaluate the analytic trajectory")
@@ -305,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--sample-dt", type=float, default=1e-2)
     p.add_argument("--degenerate", action="store_true")
-    _add_output(p)
+    _add_output(p, "closed_form")
     p.set_defaults(func=cmd_closed_form)
 
     p = sub.add_parser("fit", help="fit closed-form constants from the start state")
@@ -337,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-theta", type=float, default=1.0)
     p.add_argument("--rho-theta-after-switch", type=float, default=-1.0)
     p.add_argument("--switch-radius", type=float, default=0.05)
-    _add_output(p)
+    _add_output(p, "switch")
     p.set_defaults(func=cmd_switch)
 
     return parser
@@ -345,27 +338,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = None
+    args = path = None
     try:
         argv = _apply_config_file(argv)
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits itself; keep main() returning
             return int(exc.code or 0)
-        if args.command == "simulate":
-            if args.rho is not None:
-                args.rho_pos = args.rho
-                args.rho_theta = args.rho
-            if args.rho_pos is None or args.rho_theta is None:
-                raise ConfigError("simulate needs --rho or both --rho-pos/--rho-theta")
-        return args.func(args)
+        q0 = _parse_q0(args.q0)
+        _check_numbers(args)
+        if "out" in args:
+            path = _out_path(args.out, f"{args.out_name}.{args.format}")
+        return args.func(args, q0, path)
     except (ValueError, DriftlessError, OSError) as exc:  # OSError: an unwritable --out
-        print(f"error: {exc}", file=sys.stderr)
+        code = next((c for cls, c in ERROR_EXITS if isinstance(exc, cls)), EXIT_INVALID)
         partial = exc.trajectory if isinstance(exc, StoppedRunError) else None
         if partial is not None and getattr(args, "out", None):
-            meta = {"config": _config_echo(args), "stopped": str(exc)}
-            _write_trajectory(partial, _out_path(args.out, ""), args.format, meta)
-        return next((c for cls, c in ERROR_EXITS if isinstance(exc, cls)), EXIT_INVALID)
+            try:
+                _write(partial, path, args, stopped=str(exc))
+            except OSError as write_error:
+                exc, code = f"{write_error} (writing the run that stopped: {exc})", EXIT_INVALID
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

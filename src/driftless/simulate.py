@@ -32,8 +32,9 @@ from .core import VectorFieldSet, as_state
 from .errors import DivergenceError, RangeError, SwitchTimeoutError
 
 DIVERGENCE_FACTOR = 1e6
-# stored nodes of one run (rk4 t_end / step, closed-form samples): a JSON
-# export peaks at about 1.1 kB per node, so an accepted run stays under 2 GB RSS
+# stored nodes of one run (rk4 t_end / step, rk45 steps of both switching phases,
+# closed-form samples): a JSON export peaks at about 1.1 kB per node, so an
+# accepted run stays under 2 GB RSS
 MAX_NODES = 1_500_000
 # propagate_fast_attitude: per step, at most FAST_STEP_S rad of attitude turn
 # and |rho_pos| dt <= FAST_STEP_POS; FAST_SAMPLES + 1 outputs, FAST_CHUNK steps
@@ -235,12 +236,13 @@ def _dp45_step(f, t, q, h):
     return q5, [a - b for a, b in zip(q5, q4)]
 
 
-def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
+def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, stored: int = 0):
     """Yield (t, q), q a new list of floats, at accepted nodes after t0.
 
     f(t, q) maps a float list to a float sequence.  Raises DivergenceError
     (with the partial trajectory attached by the caller) when the state norm
-    explodes, or the adaptive step collapses or meets a NaN error estimate.
+    explodes, or the adaptive step collapses or meets a NaN error estimate;
+    RangeError past MAX_NODES rk45 nodes, ``stored`` of them from an earlier phase.
     """
     guard = DIVERGENCE_FACTOR * max(1.0, math.hypot(*q0))
     t, q = t0, [float(v) for v in q0]
@@ -270,7 +272,9 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0):
         if math.isnan(err):
             raise DivergenceError(f"error estimate is NaN at t={t:.6g}")
         if err <= 1.0:
-            t, q = t + h, q_new
+            t, q, stored = t + h, q_new, stored + 1
+            if stored > MAX_NODES:  # rk4 runs are refused up front by IntegratorConfig
+                raise RangeError(f"more than {MAX_NODES:g} nodes: the run exceeds the node budget")
             if not math.hypot(*q) <= guard:
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
             yield t, q
@@ -462,7 +466,7 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
                 states.append(q_switch)
         n_pre = len(times)
         if switch_time < cfg.t_end:
-            for t, q in _step_stream(f_post, q_switch, cfg, t0=switch_time):
+            for t, q in _step_stream(f_post, q_switch, cfg, t0=switch_time, stored=len(times) - 1):
                 times.append(t)
                 states.append(q)
     except (DivergenceError, SwitchTimeoutError) as exc:

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from driftless.cli import (
     EXIT_TIMEOUT,
     main,
 )
+import driftless
 from driftless import simulate
 from driftless.closedform import degenerate_eval, eval_solution, fit_solution
 from driftless.simulate import GainConfig, IntegratorConfig, Trajectory, integrate_unicycle
@@ -326,7 +330,7 @@ def test_rho_positive_bad_horizon_is_invalid(capsys, monkeypatch, t_end):
         "--q0", "1,0,1", "--t-end", t_end,
     )
     assert code == EXIT_INVALID and out == ""
-    assert "horizon must be positive and finite" in err
+    assert "--t-end must be positive and finite" in err
 
 
 def test_rho_positive_stiff_gain_ratio_decays(capsys):
@@ -520,15 +524,37 @@ def test_out_in_missing_directory_is_invalid(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unwritable_out_is_invalid(tmp_path, capsys):
-    # the path is a directory: the write fails after the run, and no .part file stays
+def test_unwritable_out_is_invalid(tmp_path, capsys, monkeypatch):
+    # the path is a directory: refused before the run, and no .part file stays
+    monkeypatch.setattr(simulate, "integrate_unicycle", never)
     (tmp_path / "x.csv").mkdir()
     code, stdout, err = run(
         capsys, "simulate", "--q0", "1,0,1", "--rho", "-1", "--t-end", "0.1",
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == EXIT_INVALID and stdout == "" and err.startswith("error: ")
+    assert "is a directory" in err
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+def test_stopped_run_with_directory_out_is_invalid(tmp_path, capsys):
+    # the run would diverge (exit 3); its --out is refused before it starts
+    code, stdout, err = run(capsys, *PARTIAL_RUNS[0][0], "--out", str(tmp_path))
+    assert code == EXIT_INVALID and stdout == ""
+    assert err.count("error: ") == 1 and "is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_partial_write_is_invalid(tmp_path, capsys, monkeypatch):
+    # any OSError from writing a stopped run: one error line, exit 2, no traceback
+    def refuse(self, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Trajectory, "to_csv", refuse)
+    code, stdout, err = run(capsys, *PARTIAL_RUNS[0][0], "--out", str(tmp_path / "p.csv"))
+    assert code == EXIT_INVALID and stdout == ""
+    assert err.count("error: ") == 1 and "disk full" in err and "guard" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stopped_run_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -596,6 +622,19 @@ def test_node_budget_is_invalid(tmp_path, capsys, monkeypatch, argv):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["switch", "--method", "rk45", "--q0=-1,-1,1e8", "--t-end", "1"],
+    ["simulate", "--rho", "-1", "--method", "rk45", "--q0=-1,-1,1e8", "--t-end", "1"],
+], ids=["switch", "simulate"])
+def test_rk45_node_budget_is_invalid(tmp_path, capsys, monkeypatch, argv):
+    # a fast-spinning start needs about 3e7 adaptive steps to t = 1
+    monkeypatch.setattr(simulate, "MAX_NODES", 3000)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+    assert code == EXIT_INVALID and out == ""
+    assert "budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_closed_form_budget_boundary(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
     monkeypatch.setattr(simulate, "MAX_NODES", 8)
@@ -603,3 +642,19 @@ def test_closed_form_budget_boundary(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     code, _, err = run(capsys, "closed-form", "--q0", "1,0,1", "--t-end", "2.25", "--sample-dt", "0.25")
     assert code == EXIT_INVALID and "budget" in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["fit", "--q0", "1,0,1"], EXIT_OK, ""),
+    (["analyze", "--what", "asymptotics", "--q0", "1,0,1", "--step", "nan"], EXIT_INVALID,
+     "error: --step must be positive and finite, got nan"),
+    (["compare", "--q0", "1,0,1", "--method", "rk5"], EXIT_INVALID, "invalid choice: 'rk5'"),
+], ids=["ok", "invalid-number", "argparse"])
+def test_module_entry_point_exit_codes(argv, code, message):
+    # a real process: the exit code must come through sys.exit(main())
+    path = [str(Path(driftless.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "driftless.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr

@@ -1,7 +1,8 @@
-"""Input-domain properties of the command line: every subcommand and numeric
-flag, fed the edge values nan, +-inf, 0, -1, 1e-300 and 1e300 on the command
-line or through a --config file, exits with a documented code, and every
-value that README's exit-code paragraph calls invalid exits 2."""
+"""Input-domain properties of the command line: every subcommand and every
+numeric flag it accepts, fed the edge values nan, +-inf, 0, -1, 1e-300 and
+1e300 on the command line or through a --config file, exits with a
+documented code, and every value that README's exit-code paragraph calls
+invalid exits 2."""
 
 import contextlib
 import io
@@ -15,7 +16,9 @@ from test_cli import strict_json
 
 EDGE = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 INTEGRATOR = ("--t-end", "--step", "--abs-tol", "--rel-tol")
-# (argv, numeric flags it reads); small horizons keep an example to milliseconds
+ANALYZE = INTEGRATOR + ("--rho-pos", "--rho-theta", "--tol")
+# (argv, numeric flags the subcommand accepts, read or not); small horizons
+# keep an example to milliseconds
 COMMANDS = {
     "simulate": (["simulate", "--rho-pos=-1", "--rho-theta=-1", "--t-end=1", "--step=0.01"],
                  INTEGRATOR + ("--rho", "--rho-pos", "--rho-theta")),
@@ -23,48 +26,41 @@ COMMANDS = {
     "fit": (["fit"], ()),
     "compare": (["compare", "--t-end=1", "--step=0.01", "--sample-dt=0.01"],
                 INTEGRATOR + ("--sample-dt", "--tol")),
-    "stability": (["analyze", "--what=stability", "--t-end=1", "--step=0.01"],
-                  INTEGRATOR + ("--rho-pos", "--rho-theta", "--tol")),
-    "asymptotics": (["analyze", "--what=asymptotics"], ("--rho-pos", "--rho-theta")),
-    "brockett": (["analyze", "--what=brockett"], ("--rho-pos", "--rho-theta")),
-    "rho-positive": (["analyze", "--what=rho-positive", "--rho-theta=1", "--t-end=1"],
-                     ("--t-end", "--rho-pos", "--rho-theta")),
+    "stability": (["analyze", "--what=stability", "--t-end=1", "--step=0.01"], ANALYZE),
+    "asymptotics": (["analyze", "--what=asymptotics"], ANALYZE),
+    "brockett": (["analyze", "--what=brockett"], ANALYZE),
+    "rho-positive": (["analyze", "--what=rho-positive", "--rho-theta=1", "--t-end=1"], ANALYZE),
     "switch": (["switch", "--t-end=1", "--step=0.01"],
                INTEGRATOR + ("--rho-pos", "--rho-theta", "--rho-theta-after-switch", "--switch-radius")),
 }
 JSON_STDOUT = {"fit", "compare", "stability", "asymptotics", "brockett", "rho-positive", "switch"}
-
-
-def positive(v):
-    return 0.0 < v < math.inf
+# README's one rule: every number is finite, and these are also positive
+# (closed-form's --t-end may be 0)
+POSITIVE = {"t_end", "step", "abs_tol", "rel_tol", "sample_dt", "tol", "switch_radius"}
 
 
 def documented_invalid(name, args):
     """True where README's exit-code paragraph promises exit 2 for the parsed args."""
     if not all(math.isfinite(float(v)) for v in args.q0.split(",")):
         return True
+    for key, v in vars(args).items():
+        if isinstance(v, float) and not (
+                math.isfinite(v) and (key not in POSITIVE or v > 0.0
+                                      or (v == 0.0 and key == "t_end" and name == "closed-form"))):
+            return True
+    # the per-command gain, horizon and budget rules
     if name == "closed-form":
-        return (not (0.0 <= args.t_end < math.inf and positive(args.sample_dt))
-                or args.t_end / args.sample_dt > simulate.MAX_NODES)
-    if name == "fit":
-        return False
-    gains = [getattr(args, k, 0.0) for k in ("rho_pos", "rho_theta", "rho_theta_after_switch")]
-    if getattr(args, "rho", None) is not None:  # simulate's --rho sets both gains
-        gains = [args.rho]
-    if not all(map(math.isfinite, gains)):
-        return True
+        return args.t_end / args.sample_dt > simulate.MAX_NODES
     if name in ("asymptotics", "brockett"):
         return not args.rho_pos == args.rho_theta < 0.0
     if name == "rho-positive":
-        return not (args.rho_pos < 0.0 < args.rho_theta and positive(args.t_end))
+        return not args.rho_pos < 0.0 < args.rho_theta
     if name == "switch" and not (args.rho_pos < 0.0 < args.rho_theta
-                                 and args.rho_theta_after_switch < 0.0 and args.switch_radius > 0.0):
+                                 and args.rho_theta_after_switch < 0.0):
         return True
-    if not all(positive(v) for v in (args.t_end, args.step, args.abs_tol, args.rel_tol)):
-        return True
-    if not all(positive(getattr(args, k, 1.0)) for k in ("sample_dt", "tol")):
-        return True
-    return args.t_end / args.step > simulate.MAX_NODES  # the default method, rk4
+    if name in ("simulate", "compare", "stability", "switch"):
+        return args.t_end / args.step > simulate.MAX_NODES  # the default method, rk4
+    return False
 
 
 @st.composite

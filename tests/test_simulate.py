@@ -322,6 +322,17 @@ class TestSwitching:
         assert traj is not None and traj.times[-1] < diverged_at
         assert np.all(np.isfinite(traj.energy)) and np.all(np.diff(traj.energy) >= 0.0)
 
+    def test_node_budget_counts_both_phases(self, monkeypatch):
+        # 888 steps before the switch node and 819 after it: each phase alone
+        # fits in 1,200, both together do not
+        nodes = len(run_switching([1.0, 1.0, 0.5], self.GAINS, self.CFG).trajectory.times)
+        assert nodes == 1708
+        monkeypatch.setattr("driftless.simulate.MAX_NODES", nodes - 1)
+        run_switching([1.0, 1.0, 0.5], self.GAINS, self.CFG)
+        monkeypatch.setattr("driftless.simulate.MAX_NODES", 1200)
+        with pytest.raises(RangeError, match="budget"):
+            run_switching([1.0, 1.0, 0.5], self.GAINS, self.CFG)
+
     def test_precondition_checks(self):
         with pytest.raises(ValueError):
             run_switching([1, 1, 0.5], GainConfig(-1.0, 1.0), self.CFG)
@@ -442,6 +453,25 @@ class TestTrajectoryIO:
             os.umask(old)
         mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
         assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("field", ["step", "abs_tol", "rel_tol", "t_end"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_integrator_config_refuses_bad_numbers(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        IntegratorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("gains", [(math.nan, -1.0), (-1.0, math.inf), (-math.inf, 1.0)])
+def test_gain_config_refuses_non_finite_gains(gains):
+    with pytest.raises(ValueError, match="gains must be finite"):
+        GainConfig(*gains)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1.0])
+def test_fast_attitude_refuses_bad_horizon(t_end):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        propagate_fast_attitude([1.0, 0.0], 0.5, -1.0, 1.0, t_end)
 
 
 def test_rk4_nodes_beyond_budget_are_refused():
