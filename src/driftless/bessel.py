@@ -3,10 +3,11 @@
 Two evaluation branches, following the classical treatment (Abramowitz &
 Stegun ch. 9, DLMF ch. 10), each returning both orders from one pass:
 
-* ascending power series for |x| <= SERIES_CUTOFF, summed in extended
-  precision (numpy longdouble) so the alternating-series cancellation near
-  the cutoff (terms of 3e4 for a sum of 0.1) stays below the 1e-12 accuracy
-  budget;
+* ascending power series for |x| <= SERIES_CUTOFF: in Python floats up to
+  DOUBLE_BELOW, where the peak term is at most about 5 and the error about
+  1e-15 (estimated below 6e-13); above, in extended precision (numpy
+  longdouble), so the cancellation near the cutoff (terms of 3e4 for a sum of
+  0.1) stays below the 1e-12 accuracy budget;
 * Hankel asymptotic expansion (P/Q modulus-phase form) beyond the cutoff,
   truncated at the smallest term.
 
@@ -15,9 +16,10 @@ functions have arguments |theta0| * exp(rho*t); up to MAX_ARG the rounding of
 the extended-precision Hankel phase stays below 1e-15.
 
 bessel_j/bessel_y return a point value as a float; _jy (a point) and jy_array
-(a grid) also return each value's absolute-error estimate, bit for bit alike:
-on a 2-vCPU VM a 2,001-point grid takes 5-12 ms in jy_array and 33-45 ms point
-by point, but one point 0.14-1.2 ms in jy_array and 8-70 us in the scalar pass.
+(a grid) also return each value's absolute-error estimate, bit for bit alike.
+On a 2-vCPU Xeon VM a scalar series pass takes 6-13 us up to DOUBLE_BELOW and
+38-57 us above; a 2,001-point grid takes 2-7 ms in jy_array and 11-18 ms point
+by point, but one point 0.3-0.75 ms in jy_array.
 """
 
 from __future__ import annotations
@@ -32,11 +34,25 @@ from .errors import DomainError, RangeError
 EULER_GAMMA = 0.57721566490153286061
 SERIES_CUTOFF = 14.0
 MAX_ARG = 1e8
+DOUBLE_BELOW = 4.0  # the series runs in Python floats up to here, in longdouble above
 
 _LD_PI = np.longdouble("3.14159265358979323846264338327950288")
-_LD_GAMMA = np.longdouble("0.57721566490153286060651209008240243")
+_LD_LG0 = np.longdouble("-0.11593151565841244881072003137577414")  # gamma - ln 2
 _LD_ONE = np.longdouble(1)
 _LD_EPS = float(np.finfo(np.longdouble).eps)
+
+
+def _math(fn, x):
+    """The math function fn at x, or at each element of an ndarray x: numpy's
+    own loops may differ by an ulp, and a grid must equal its points bit for bit."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
+
+
+# the series' number type on each side of DOUBLE_BELOW: one, eps, pi, gamma - ln 2, log
+_DOUBLE = (1.0, 2.0**-52, math.pi, float(_LD_LG0), functools.partial(_math, math.log))
+_LONG = (_LD_ONE, _LD_EPS, _LD_PI, _LD_LG0, np.log)
 
 
 def _check(x: float) -> None:
@@ -48,7 +64,8 @@ def _check(x: float) -> None:
 
 
 def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """As _jy, by one pass of the ascending series in longdouble, x <= cutoff.
+    """As _jy, by one pass of the ascending series, x <= cutoff: in Python floats
+    up to DOUBLE_BELOW (peak terms of at most about 5), in longdouble above.
 
     With t_k = (-x^2/4)^k / (k!)^2, u_k = t_k / (k+1) and harmonic numbers
     H_k (DLMF 10.2.2, 10.8.1):
@@ -57,9 +74,9 @@ def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
         Y0 = (2/pi)((ln(x/2) + gamma) J0 - sum H_k t_k)
         Y1 = (2/pi)((ln(x/2) + gamma) J1 - 1/x) - (x/(2 pi)) sum (H_k + H_{k+1}) u_k
 
-    The absolute rounding floor is ~k_peak * eps_longdouble * peak_term.
+    The absolute rounding floor is ~k_peak * eps * peak_term.
     """
-    one, eps = _LD_ONE, _LD_EPS
+    one, eps, pi, lg0, log = _DOUBLE if x <= DOUBLE_BELOW else _LONG
     half = one * x / 2
     q = -half * half
     t = one
@@ -90,11 +107,11 @@ def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
             stop = 1e-3 * eps * (a + 1)
         elif a < stop:  # the other terms are smaller, the tail smaller still
             break
-    lg = np.log(half) + _LD_GAMMA
+    lg = log(one * x) + lg0  # ln(x/2) + gamma; x/2 underflows at 5e-324
     j1n = half * sum_j1
     j0, j1 = float(sum_j0), float(j1n)
-    y0 = float(2 * (lg * sum_j0 - sum_y0) / _LD_PI)
-    y1 = float((2 * (lg * j1n - one / x) - half * sum_y1) / _LD_PI)
+    y0 = float(2 * (lg * sum_j0 - sum_y0) / pi)
+    y1 = float((2 * lg * j1n - half * sum_y1) / pi - 2 / pi / x)  # 2/x overflows in double
     wj, wy = 4.0 * (k + 2) * eps, 8.0 * (k + 4) * eps
     err_j0 = wj * float(peak_j0) + 4e-16 * abs(j0)
     err_j1 = wj * float(half * peak_j1) + 4e-16 * abs(j1)
@@ -145,16 +162,18 @@ def _jy(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
     Cached on x alone: the J and Y calls of both orders at one x cost one pass.
     """
-    return _series(x) if x <= SERIES_CUTOFF else _hankel(float(x))  # floats out
+    x = float(x)  # a numpy scalar would run numpy scalar arithmetic, and return it
+    return _series(x) if x <= SERIES_CUTOFF else _hankel(x)
 
 
-def _series_array(x: np.ndarray) -> np.ndarray:
-    """_series per element, x <= cutoff; each element stops at its own term."""
-    one, eps = _LD_ONE, _LD_EPS
-    half = x.astype(np.longdouble) / 2
+def _series_array(x: np.ndarray, kind: tuple) -> np.ndarray:
+    """_series per element of x, all on one side of DOUBLE_BELOW, in that side's
+    number type kind (_DOUBLE or _LONG); each element stops at its own term."""
+    one, eps, pi, lg0, log = kind
+    half = one * x / 2
     q = -half * half
-    sums = np.array([[1], [1], [0], [1]], np.longdouble).repeat(len(x), 1)  # J0 J1 Y0 Y1
-    peaks, stop = sums.copy(), np.full(len(x), 1e-3 * eps, np.longdouble)
+    sums = np.array([[1], [1], [0], [1]], type(one)).repeat(len(x), 1)  # J0 J1 Y0 Y1
+    peaks, stop = sums.copy(), np.full(len(x), 1e-3 * eps, type(one))
     last, live = np.zeros(len(x), int), np.arange(len(x))  # k at the stop; running
     t, h, k = one, one - one, 0
     while len(live):
@@ -173,11 +192,11 @@ def _series_array(x: np.ndarray) -> np.ndarray:
         last[live[done]] = k
         live, t = live[~done], t[~done]
     (s_j0, s_j1, s_y0, s_y1), (p_j0, p_j1, p_y0, p_y1) = sums, peaks
-    lg, j1n = np.log(half) + _LD_GAMMA, half * s_j1
+    lg, j1n = log(one * x) + lg0, half * s_j1
     with np.errstate(over="ignore"):  # Y1 = -inf below about 3.5e-309, as in _series
-        y1 = ((2 * (lg * j1n - one / x) - half * s_y1) / _LD_PI).astype(float)
+        y1 = ((2 * lg * j1n - half * s_y1) / pi - 2 / pi / x).astype(float)
     j0, j1 = s_j0.astype(float), j1n.astype(float)
-    y0 = (2 * (lg * s_j0 - s_y0) / _LD_PI).astype(float)
+    y0 = (2 * (lg * s_j0 - s_y0) / pi).astype(float)
     wj, wy = 4.0 * (last + 2) * eps, 8.0 * (last + 4) * eps
     err_j0 = wj * p_j0.astype(float) + 4e-16 * abs(j0)
     err_j1 = wj * (half * p_j1).astype(float) + 4e-16 * abs(j1)
@@ -194,12 +213,13 @@ def jy_array(x) -> np.ndarray:
         _check(float(np.min(x)))  # NaN propagates
         _check(float(np.max(x)))
     out = np.empty((2, 4, len(x)))
-    low = x <= SERIES_CUTOFF
-    out[:, :, low] = _series_array(x[low])
+    low, high = x <= DOUBLE_BELOW, x > SERIES_CUTOFF
+    out[:, :, low] = _series_array(x[low], _DOUBLE)
+    out[:, :, ~low & ~high] = _series_array(x[~low & ~high], _LONG)
     # point by point above the cutoff: few grid points lie there, and an array
     # form of _hankel would save under 2 % of a closed-form-cli round
-    high = [_hankel(v) for v in x[~low].tolist()]
-    out[:, :, ~low] = np.reshape(high, (-1, 2, 4)).transpose(1, 2, 0)
+    values = [_hankel(v) for v in x[high].tolist()]
+    out[:, :, high] = np.reshape(values, (-1, 2, 4)).transpose(1, 2, 0)
     return out
 
 

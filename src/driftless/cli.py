@@ -164,8 +164,9 @@ def cmd_compare(args, q0, path) -> int:
         sol = closedform.fit_solution(q0[:2], q0[2])
         position = lambda t: closedform.eval_solution(sol, t).X
     traj = simulate.integrate_unicycle(q0, GainConfig(closedform.RHO, closedform.RHO), cfg)
-    # adaptive nodes have no fixed spacing to stride over
-    stride = max(1, int(round(args.sample_dt / cfg.step))) if cfg.method == "rk4" else 1
+    # adaptive nodes have no spacing to stride over; a stride past the end (even inf) keeps node 0
+    ratio = args.sample_dt / cfg.step if cfg.method == "rk4" else 1.0
+    stride = max(1, round(min(ratio, len(traj.times))))
     ref = position(traj.times[::stride])
     err = np.abs(ref - traj.states[::stride, :2])
     report = {

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from driftless.bessel import (
+    DOUBLE_BELOW,
     MAX_ARG,
     SERIES_CUTOFF,
     _jy,
@@ -165,6 +166,43 @@ def test_seam_continuity():
         assert abs(below - above) <= 1e-12
 
 
+def test_double_seam_continuity():
+    # the series changes number type at DOUBLE_BELOW, not formula
+    lo, hi = DOUBLE_BELOW - 1e-13, DOUBLE_BELOW + 1e-13
+    for below, above in zip(four(lo), four(hi)):
+        assert abs(below - above) <= 1e-12
+
+
+def test_double_branch_within_budget():
+    # in Python floats the estimate grows with eps (to about 6e-13 at the
+    # seam): a higher seam would report error bars beyond the budget
+    for x in np.linspace(DOUBLE_BELOW / 1000, DOUBLE_BELOW, 1000):
+        x = float(x)
+        for (val, est), ref in zip(estimated(x), mp_four(x)):
+            err = abs(val - float(ref))
+            assert err <= max(1e-12, 1e-12 * abs(val))
+            assert err <= est <= max(1e-12, 1e-12 * abs(val))
+
+
+def test_longdouble_is_extended():
+    # (DOUBLE_BELOW, SERIES_CUTOFF] relies on it: near 14 the series' terms
+    # reach 3e4 for sums of 0.1, and double precision misses the 1e-12 budget
+    assert np.finfo(np.longdouble).eps <= 1.1e-19, (
+        "numpy longdouble is not the 80-bit extended type: the Bessel series "
+        f"above DOUBLE_BELOW = {DOUBLE_BELOW} would miss the 1e-12 budget"
+    )
+
+
+@pytest.mark.parametrize("x", [1e-300, 1.0, DOUBLE_BELOW, 5.0, SERIES_CUTOFF, 20.0])
+def test_numpy_argument_gives_the_float_pass(x):
+    _jy.cache_clear()  # the cache would hand back the other call's tuple
+    from_numpy = _jy(np.float64(x))
+    _jy.cache_clear()
+    from_float = _jy(x)
+    assert np.array(from_numpy).tobytes() == np.array(from_float).tobytes()
+    assert all(type(v) is float for row in from_numpy for v in row)
+
+
 def test_range_and_domain_errors():
     with pytest.raises(RangeError):
         bessel_j(0, MAX_ARG + 1.0)
@@ -187,21 +225,39 @@ def test_range_and_domain_errors():
         assert all(type(v) is float for v in four(x))
 
 
+def same_as_points(x):
+    want = np.array([_jy(float(v)) for v in x]).reshape(-1, 2, 4).transpose(1, 2, 0)
+    got = jy_array(x)
+    return got.shape == (2, 4, len(x)) and got.tobytes() == want.tobytes()
+
+
 def test_jy_array_equals_scalar_bit_for_bit():
     # same branch and same operations per element: exact equality, values
-    # and estimates, on both branches, the seam and the extremes
-    seam = [np.nextafter(SERIES_CUTOFF, 0.0), SERIES_CUTOFF, np.nextafter(SERIES_CUTOFF, 15.0)]
+    # and estimates, on every branch, both seams and the extremes
+    seams = [np.nextafter(v, w) for v in (DOUBLE_BELOW, SERIES_CUTOFF) for w in (0.0, v, 15.0)]
     x = np.concatenate([
-        [5e-324, 1e-310, 1e-300, 1e-160], seam, [MAX_ARG],
+        [5e-324, 1e-310, 1e-300, 1e-160], seams, [MAX_ARG],
         np.geomspace(1e-12, SERIES_CUTOFF, 700),
         np.linspace(1e-3, SERIES_CUTOFF, 600),
+        np.linspace(DOUBLE_BELOW - 1.0, DOUBLE_BELOW + 1.0, 2001),
         np.geomspace(SERIES_CUTOFF, MAX_ARG, 693),
     ])
     np.random.default_rng(3).shuffle(x)
-    want = np.array([_jy(float(v)) for v in x]).transpose(1, 2, 0)
-    got = jy_array(x)
-    assert got.shape == (2, 4, len(x)) == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert same_as_points(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([]),
+        np.linspace(1e-3, DOUBLE_BELOW, 50),
+        np.linspace(np.nextafter(DOUBLE_BELOW, 5.0), SERIES_CUTOFF, 50),
+        np.linspace(np.nextafter(SERIES_CUTOFF, 15.0), 100.0, 50),
+    ],
+    ids=["empty", "double", "longdouble", "hankel"],
+)
+def test_jy_array_within_one_branch(x):
+    assert same_as_points(x)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2 * MAX_ARG, -2 * MAX_ARG, 0.0, -1.0])

@@ -106,6 +106,14 @@ def test_compare_degenerate_path(capsys):
     assert json.loads(out)["passed"]
 
 
+def test_compare_sample_spacing_beyond_the_run(capsys):
+    # sample_dt / step overflows to inf: the start is the only sample
+    code, out, _ = run(capsys, "compare", "--q0", "1,0,1", "--t-end", "1e-300",
+                       "--step", "1e-300", "--sample-dt", "1e300")
+    assert code == EXIT_OK
+    assert json.loads(out)["n_samples"] == 1
+
+
 def test_compare_impossible_tolerance_fails(capsys):
     code, out, _ = run(
         capsys, "compare", "--q0", "1,0,1", "--t-end", "10", "--tol", "1e-18"
