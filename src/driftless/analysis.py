@@ -55,8 +55,7 @@ def certify_stability(traj: Trajectory, field_fn, tol: float) -> StabilityCertif
     if len(traj.times) < 20:
         raise InconclusiveError("trajectory too short for a windowed energy check")
     horizon = float(traj.times[-1])
-    window_start = 0.9 * horizon
-    idx = int(np.searchsorted(traj.times, window_start))
+    idx = int(np.searchsorted(traj.times, 0.9 * horizon))
     if idx >= len(traj.times) - 1:
         raise InconclusiveError("final decile contains too few samples")
     increment = float(traj.energy[-1] - traj.energy[idx])
@@ -134,7 +133,9 @@ def rho_positive_study(
     q0 = np.asarray(q0, float)
     theta0 = float(q0[2])
     ts, Xs = propagate_fast_attitude(q0[:2], theta0, rho_pos, rho_theta, horizon)
-    theta_final = theta0 * math.exp(rho_theta * horizon)
+    # as the propagator forms it: exp(rho_theta T) overflows where theta0 is 0 or subnormal
+    theta_final = theta0 and math.copysign(
+        math.exp(math.log(abs(theta0)) + rho_theta * horizon), theta0)
     norms = [math.hypot(*X) for X in Xs]
     return RotationStudyReport(
         times=tuple(float(t) for t in ts),

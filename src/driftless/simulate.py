@@ -1,18 +1,17 @@
 """Numerical integration of the unicycle closed loop and its variants.
 
 This module is the independent oracle for every closed-form claim: a
-classical fixed-step RK4 (default, step 1e-3) and an adaptive
-Dormand-Prince RK45 for long-horizon runs.  It also provides the
-gain-switching strategy and a specialized propagator for the regime where
-the attitude is deliberately destabilized and the closed loop rotates
-exponentially fast, on a grid whose steps turn the attitude by at most
-0.2 rad and have |rho_pos| dt <= 1e-3.  The closed loop is written once, as
-the float function _unicycle_rhs.  The unicycle's RK4 and the propagator
-share one builder of RK4 transition matrices (the position is linear given
-the attitude); the other steppers carry lists of Python floats.  Costs on a
-2-vCPU Xeon VM: RK4 to T = 30 at step 1e-3 about 20 ms; one RK45 attempt
-about 22 us; the switching run from (10, -3, 2) to T = 30, 3.7-5.2 s.
-"""
+classical fixed-step RK4 (default, step 1e-3) and an adaptive Dormand-Prince
+RK45 for long-horizon runs.  It also provides the gain-switching strategy and
+a propagator for the regime where the attitude is destabilized and the closed
+loop rotates exponentially fast.  The closed loop is written once, as the
+float function _unicycle_rhs.  The unicycle's RK4 and the propagator share one
+builder of RK4 transition matrices (the position is linear given the
+attitude).  The other steppers carry lists of Python floats and hand on the
+field each step evaluated at its node (RK4's end field, DP45's 7th stage): it
+is the node's energy integrand, and the switch's Hermite slopes.  Costs on a
+2-vCPU Xeon VM: one RK45 attempt about 22 us; switching runs from (10, -3, 2)
+to T = 30, 3.4-5.1 s, and from (1, 1, 0.5) with RK4 to T = 25, 0.14-0.17 s."""
 
 from __future__ import annotations
 
@@ -179,13 +178,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _rk4_step(f, t, q, h):
+def _rk4_step(f, t, q, h, k1):
+    """RK4 step from (t, q), k1 = f(t, q): (q_new, f(t + h, q_new)), the next k1."""
     hh = 0.5 * h
-    k1 = f(t, q)
     k2 = f(t + hh, [v + hh * k for v, k in zip(q, k1)])
     k3 = f(t + hh, [v + hh * k for v, k in zip(q, k2)])
     k4 = f(t + h, [v + h * k for v, k in zip(q, k3)])
-    return [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(q, k1, k2, k3, k4)]
+    q = [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(q, k1, k2, k3, k4)]
+    return q, f(t + h, q)
 
 
 # Dormand-Prince 5(4) tableau
@@ -204,12 +204,13 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 
 
 def _dp45_step(f, t, q, h):
-    """One Dormand-Prince attempt from (t, q): (q5, q5 - q4) as lists of floats.
+    """One Dormand-Prince attempt from (t, q): (q5, q5 - q4, k7) as lists of floats.
 
     Python floats, as numpy's per-call overhead exceeds the arithmetic on
     3-vectors; the array form's order of operations (products h * a_ij, sums
-    left to right, zero weights kept) makes the results equal bit for bit.
-    f is called at all 7 stage inputs (the last stage is not reused).
+    left to right, zero weights kept) makes q5 and q5 - q4 equal bit for bit.
+    f is called at all 7 stage inputs; the 7th is q5 to rounding, so k7 is the
+    node's field.  It is not reused as the next k1 (no FSAL): 7 calls per attempt.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (
         a61, a62, a63, a64, a65), (a71, a72, a73, a74, a75, a76) = (
@@ -233,28 +234,30 @@ def _dp45_step(f, t, q, h):
           for v, p, r, s, u, w, x, z in ks]
     q4 = [v + h * (0.0 + e1 * p + e2 * r + e3 * s + e4 * u + e5 * w + e6 * x + e7 * z)
           for v, p, r, s, u, w, x, z in ks]
-    return q5, [a - b for a, b in zip(q5, q4)]
+    return q5, [a - b for a, b in zip(q5, q4)], k7
 
 
-def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, stored: int = 0):
-    """Yield (t, q), q a new list of floats, at accepted nodes after t0.
-
-    f(t, q) maps a float list to a float sequence.  Raises DivergenceError
-    (with the partial trajectory attached by the caller) when the state norm
-    explodes, or the adaptive step collapses or meets a NaN error estimate;
-    RangeError past MAX_NODES rk45 nodes, ``stored`` of them from an earlier phase.
+def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, stored: int = 0, k0=None):
+    """Yield (t, q, k) at accepted nodes after t0: q a new list of floats, k the
+    field at q that the step evaluated (rk4: its end field, the next k1; rk45:
+    the 7th stage).  f(t, q) maps a float list to a float sequence; k0 = f(t0,
+    q0) is rk4's first k1 if given, and rk45 calls f only in its attempts.
+    Raises DivergenceError (the caller attaches the partial trajectory) when the
+    state norm explodes, or the adaptive step collapses or meets a NaN error
+    estimate; RangeError past MAX_NODES rk45 nodes, ``stored`` from a first phase.
     """
     guard = DIVERGENCE_FACTOR * max(1.0, math.hypot(*q0))
     t, q = t0, [float(v) for v in q0]
     if cfg.method == "rk4":
         n_steps = max(1, int(round((cfg.t_end - t0) / cfg.step)))
         h = (cfg.t_end - t0) / n_steps
+        k = f(t0, q) if k0 is None else k0
         for i in range(1, n_steps + 1):
-            q = _rk4_step(f, t, q, h)
+            q, k = _rk4_step(f, t, q, h, k)
             t = t0 + i * h
             if not math.hypot(*q) <= guard:  # NaN included
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
-            yield t, q
+            yield t, q, k
         return
     # adaptive rk45; the RMS error norm is summed left to right in floats,
     # as numpy's mean does below 8 components
@@ -263,7 +266,7 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, stored: int = 0)
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     while t < cfg.t_end:
         h = min(h, cfg.t_end - t)
-        q_new, err_vec = _dp45_step(f, t, q, h)
+        q_new, err_vec, k = _dp45_step(f, t, q, h)
         sq = 0.0
         for e, a, b in zip(err_vec, q, q_new):
             r = e / (atol + rtol * max(abs(a), abs(b)))
@@ -277,18 +280,16 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, stored: int = 0)
                 raise RangeError(f"more than {MAX_NODES:g} nodes: the run exceeds the node budget")
             if not math.hypot(*q) <= guard:
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
-            yield t, q
+            yield t, q, k
         factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h < h_floor:
             raise DivergenceError(f"adaptive step collapsed below floor at t={t:.6g}")
 
 
-def _rates(f, states):
-    """Squared speeds |f(q)|^2, the energy integrand, at the given states
-    (inf where one overflows: the Trajectory refuses it)."""
-    with np.errstate(over="ignore"):
-        return [float(np.dot(d, d)) for d in (np.array(f(0.0, q)) for q in states)]
+def _rate(k) -> float:
+    """|k|^2, the energy integrand (inf where it overflows: the Trajectory refuses it)."""
+    return sum(v * v for v in k)
 
 
 def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
@@ -299,16 +300,17 @@ def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
     q0 = as_state(q0)
     # the steppers carry lists of floats; field_fn takes and returns arrays
     f = lambda t, q: np.asarray(field_fn(np.array(q, float)), float).tolist()
-    times, states = [0.0], [q0]
-    trajectory = lambda: Trajectory.from_samples(times, states, _rates(f, states))
+    k0 = f(0.0, q0)
+    times, states, rates = [0.0], [q0], [_rate(k0)]
     try:
-        for t, q in _step_stream(f, q0, cfg):
+        for t, q, k in _step_stream(f, q0, cfg, k0=k0):
             times.append(t)
             states.append(q)
+            rates.append(_rate(k))
     except DivergenceError as exc:
-        exc.trajectory = trajectory()
+        exc.trajectory = Trajectory.from_samples(times, states, rates)
         raise
-    return trajectory()
+    return Trajectory.from_samples(times, states, rates)
 
 
 def _coeffs(th, rho_pos):
@@ -397,13 +399,14 @@ class SwitchResult:
     switch_time: float
 
 
-def _switch_crossing(f, t0, q0, t1, q1, eps):
+def _switch_crossing(t0, q0, k0, t1, q1, k1, eps):
     """(t, q) with |(x, y)| = eps on the cubic Hermite interpolant of the step
-    from (t0, q0), outside the radius, to (t1, q1), inside.  Bisection keeps
+    from (t0, q0), outside the radius, to (t1, q1), inside; its slopes are the
+    fields k0 and k1 the steps evaluated at the two ends.  Bisection keeps
     the bracket, so q is on or just inside; 53 halvings reach the last bit."""
     h = t1 - t0
     q0, q1 = np.asarray(q0, float), np.asarray(q1, float)
-    d0, d1 = h * np.array(f(t0, q0)), h * np.array(f(t1, q1))
+    d0, d1 = h * np.array(k0), h * np.array(k1)
     c2 = 3.0 * (q1 - q0) - 2.0 * d0 - d1
     c3 = 2.0 * (q0 - q1) + d0 + d1
     lo, hi, q_hi = 0.0, 1.0, q1
@@ -423,7 +426,7 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
 
     The crossing is located on the cubic Hermite interpolant of the step
     that enters the radius, so neither the switch time nor the switch state
-    inherits the step size.
+    inherits the step size.  The switch node's energy integrand is the pre-switch one.
     """
     if not gains.switch_enabled:
         raise ValueError("switching requires switch_enabled")
@@ -439,40 +442,36 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
     f_pre = lambda t, q: unicycle_field(q, pre)
     f_post = lambda t, q: unicycle_field(q, post)
 
-    times, states, n_pre = [0.0], [q0], None
-
-    def trajectory():
-        # integrand per segment; the field (hence the rate) jumps at the switch
-        k = len(states) if n_pre is None else n_pre
-        rates = _rates(f_pre, states[:k]) + _rates(f_post, states[k:])
-        return Trajectory.from_samples(times, states, rates)
-
+    k0 = f_pre(0.0, q0)
+    times, states, rates = [0.0], [q0], [_rate(k0)]
     try:
         if math.hypot(q0[0], q0[1]) <= eps:
             switch_time, q_switch = 0.0, q0
         else:
-            for t, q in _step_stream(f_pre, q0, cfg):
+            for t, q, k in _step_stream(f_pre, q0, cfg, k0=k0):
                 if math.hypot(q[0], q[1]) <= eps:
                     break
                 times.append(t)
                 states.append(q)
+                rates.append(_rate(k))
+                k0 = k
             else:
                 raise SwitchTimeoutError(
                     f"position never entered radius {eps} before t={cfg.t_end}")
-            # the field calls here are outside the step stream, not stage evaluations
-            switch_time, q_switch = _switch_crossing(f_pre, times[-1], states[-1], t, q, eps)
+            switch_time, q_switch = _switch_crossing(times[-1], states[-1], k0, t, q, k, eps)
             if switch_time > times[-1]:
                 times.append(switch_time)
                 states.append(q_switch)
-        n_pre = len(times)
+                rates.append(_rate(f_pre(switch_time, q_switch)))
         if switch_time < cfg.t_end:
-            for t, q in _step_stream(f_post, q_switch, cfg, t0=switch_time, stored=len(times) - 1):
+            for t, q, k in _step_stream(f_post, q_switch, cfg, switch_time, len(times) - 1):
                 times.append(t)
                 states.append(q)
+                rates.append(_rate(k))
     except (DivergenceError, SwitchTimeoutError) as exc:
-        exc.trajectory = trajectory()
+        exc.trajectory = Trajectory.from_samples(times, states, rates)
         raise
-    return SwitchResult(trajectory(), switch_time)
+    return SwitchResult(Trajectory.from_samples(times, states, rates), switch_time)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:

@@ -341,6 +341,22 @@ def test_rho_positive_bad_horizon_is_invalid(capsys, monkeypatch, t_end):
     assert "--t-end must be positive and finite" in err
 
 
+@pytest.mark.parametrize(
+    "q0, rho_theta, t_end, code, theta_final",
+    [("1,0,0", "10", "80", EXIT_FAILED, 0.0), ("1,0,5e-324", "1", "750", EXIT_OK, 259.8041501776537)],
+    ids=["zero-attitude", "subnormal-attitude"],
+)
+def test_rho_positive_attitude_past_exp_overflow(capsys, q0, rho_theta, t_end, code, theta_final):
+    # rho_theta T > 709.78 overflows exp(rho_theta T), yet |theta0| exp(rho_theta T)
+    # stays below 1e8; theta0 = 0 stays 0, so the attitude does not grow
+    got, out, err = run(capsys, "analyze", "--what", "rho-positive", "--q0", q0,
+                        "--rho-theta", rho_theta, "--t-end", t_end)
+    assert got == code, err
+    report = strict_json(out)
+    assert report["theta_final"] == pytest.approx(theta_final, rel=1e-12, abs=0.0)
+    assert report["attitude_grows"] is (code == EXIT_OK) and report["position_decays"]
+
+
 def test_rho_positive_stiff_gain_ratio_decays(capsys):
     # rho_pos / rho_theta = -1000: a step bounded only by the attitude turn
     # leaves RK4's stability interval; RK45 gives |X(0.5)| = 0.18189

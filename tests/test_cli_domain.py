@@ -9,7 +9,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftless import cli, simulate
 from test_cli import strict_json
@@ -30,10 +30,14 @@ COMMANDS = {
     "asymptotics": (["analyze", "--what=asymptotics"], ANALYZE),
     "brockett": (["analyze", "--what=brockett"], ANALYZE),
     "rho-positive": (["analyze", "--what=rho-positive", "--rho-theta=1", "--t-end=1"], ANALYZE),
+    # rho_theta T = 800 overflows exp(rho_theta T); from theta0 = 0 about 8e4 steps
+    "rho-positive-long": (["analyze", "--what=rho-positive", "--rho-theta=10", "--t-end=80"],
+                          ANALYZE),
     "switch": (["switch", "--t-end=1", "--step=0.01"],
                INTEGRATOR + ("--rho-pos", "--rho-theta", "--rho-theta-after-switch", "--switch-radius")),
 }
-JSON_STDOUT = {"fit", "compare", "stability", "asymptotics", "brockett", "rho-positive", "switch"}
+JSON_STDOUT = {"fit", "compare", "stability", "asymptotics", "brockett", "rho-positive",
+               "rho-positive-long", "switch"}
 # README's one rule: every number is finite, and these are also positive
 # (closed-form's --t-end may be 0)
 POSITIVE = {"t_end", "step", "abs_tol", "rel_tol", "sample_dt", "tol", "switch_radius"}
@@ -53,7 +57,7 @@ def documented_invalid(name, args):
         return args.t_end / args.sample_dt > simulate.MAX_NODES
     if name in ("asymptotics", "brockett"):
         return not args.rho_pos == args.rho_theta < 0.0
-    if name == "rho-positive":
+    if name.startswith("rho-positive"):
         return not args.rho_pos < 0.0 < args.rho_theta
     if name == "switch" and not (args.rho_pos < 0.0 < args.rho_theta
                                  and args.rho_theta_after_switch < 0.0):
@@ -80,6 +84,8 @@ def workdir(tmp_path_factory):
 
 @settings(max_examples=1000, deadline=None)
 @given(invocations())
+# few random draws reach theta0 = 0 with the long horizon left as it is
+@example(("rho-positive-long", ["1", "0", "0"], {}, False))
 def test_edge_values_exit_as_documented(workdir, case):
     name, q0, chosen, via_config = case
     base, _ = COMMANDS[name]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from driftless import simulate
 from driftless.core import closed_loop_field
 from driftless.errors import DivergenceError, RangeError, SwitchTimeoutError
 from driftless.simulate import (
@@ -106,7 +107,7 @@ class TestIntegrate:
             slow = integrate(lambda q: unicycle_field(q, gains), [1.0, 0.3, 0.9], cfg)
             assert np.array_equal(fast.times, slow.times)
             assert np.max(np.abs(fast.states - slow.states)) <= 1e-13
-            # the generic path sums the squared speed with np.dot
+            # the generic path sums the squared speed of each node's stage field
             assert np.max(np.abs(fast.energy - slow.energy)) <= 1e-12
 
     @pytest.mark.parametrize("gains", [(-1.0, -1.0), (-2.0, -0.5), (1.0, 1.0), (-1.0, 0.7)])
@@ -118,7 +119,7 @@ class TestIntegrate:
         traj = integrate_unicycle(q0, g, IntegratorConfig(step=0.05, t_end=5.0))
         f = lambda t, q: unicycle_field(q, g)
         for t, q, q_next in zip(traj.times, traj.states[:-1].tolist(), traj.states[1:]):
-            step = np.array(_rk4_step(f, t, q, 0.05))
+            step = np.array(_rk4_step(f, t, q, 0.05, f(t, q))[0])
             assert np.max(np.abs(q_next - step)) <= 4 * np.spacing(max(map(abs, q)))
 
     @pytest.mark.parametrize("gains, t_stop", [((1.0, 1.0), 15.17), ((2.0, -1.0), 6.95)])
@@ -219,7 +220,7 @@ class TestDP45Step:
         A = A.reshape(n, n)
         f = lambda t, y: A @ y  # noqa: E731
         f_floats = lambda t, y: f(t, np.array(y)).tolist()  # noqa: E731
-        got, ref = _dp45_step(f_floats, t, q.tolist(), h), _dp45_reference(f, t, q, h)
+        got, ref = _dp45_step(f_floats, t, q.tolist(), h)[:2], _dp45_reference(f, t, q, h)
         assert all(type(v) is float for part in got for v in part)
         assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
 
@@ -233,7 +234,7 @@ class TestDP45Step:
         gains = GainConfig(rho_pos, rho_theta)
         f = lambda t, y: unicycle_field(y, gains)  # noqa: E731
         f_array = lambda t, y: np.array(f(t, y))  # noqa: E731
-        got, ref = _dp45_step(f, 0.0, list(q), h), _dp45_reference(f_array, 0.0, np.array(q), h)
+        got, ref = _dp45_step(f, 0.0, list(q), h)[:2], _dp45_reference(f_array, 0.0, np.array(q), h)
         assert all(type(v) is float for part in got for v in part)
         assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
 
@@ -244,7 +245,7 @@ class TestDP45Step:
         t0 = 0.5
         local, estimate = [], []
         for h in (0.1, 0.05):
-            q5, err = _dp45_step(f, t0, [1.0 / (1.0 + t0 * t0)], h)
+            q5, err, _ = _dp45_step(f, t0, [1.0 / (1.0 + t0 * t0)], h)
             local.append(abs(q5[0] - 1.0 / (1.0 + (t0 + h) ** 2)))
             estimate.append(abs(err[0]))
         assert 48.0 < local[0] / local[1] < 96.0
@@ -339,6 +340,68 @@ class TestSwitching:
         bad = GainConfig(-1.0, -1.0, switch_enabled=True, switch_radius=0.05, rho_theta_after_switch=-1.0)
         with pytest.raises(ValueError):
             run_switching([1, 1, 0.5], bad, self.CFG)
+
+
+class TestNodeFields:
+    """Each node's energy integrand is the field its step evaluated there: no
+    field is evaluated again over the stored nodes after a run."""
+
+    @pytest.fixture
+    def field_calls(self, monkeypatch):
+        calls = []
+        real = simulate.unicycle_field
+
+        def counting(q, gains):
+            calls.append(1)
+            return real(q, gains)
+
+        monkeypatch.setattr(simulate, "unicycle_field", counting)
+        return calls
+
+    def test_rk4_calls_four_per_step_and_one_at_the_start(self, field_calls):
+        g = GainConfig(-1.0, -0.7)
+        traj = integrate(lambda q: simulate.unicycle_field(q, g), [1.0, 0.3, 0.9],
+                         IntegratorConfig(step=0.01, t_end=2.0))
+        n = len(traj.times) - 1
+        assert n == 200 and len(field_calls) == 4 * n + 1
+
+    def test_rk45_switching_calls_seven_per_attempt_and_two_outside(self, field_calls, monkeypatch):
+        attempts = []
+        real_step = simulate._dp45_step
+
+        def counting_step(*args):
+            attempts.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(simulate, "_dp45_step", counting_step)
+        result = run_switching([1.0, 1.0, 0.5], TestSwitching.GAINS, TestSwitching.CFG)
+        assert 0.0 < result.switch_time < TestSwitching.CFG.t_end
+        # the start and the interpolated switch node; the attempts never reuse a stage
+        assert len(field_calls) == 7 * len(attempts) + 2
+
+    @pytest.mark.parametrize("cfg", [TestSwitching.CFG, IntegratorConfig(step=1e-3, t_end=8.0)],
+                             ids=["rk45", "rk4"])
+    def test_node_rates_are_the_node_fields(self, monkeypatch, cfg):
+        # rk45's 7th stage input is the node to rounding (8.6e-16 measured)
+        samples = []
+        real = Trajectory.from_samples
+
+        def capture(times, states, rates):
+            samples.append((times, states, rates))
+            return real(times, states, rates)
+
+        monkeypatch.setattr(Trajectory, "from_samples", staticmethod(capture))
+        # |rho_theta_after_switch| != rho_theta, so the two fields' rates differ
+        gains = GainConfig(-1.0, 1.0, switch_enabled=True, switch_radius=0.05,
+                           rho_theta_after_switch=-2.0)
+        t_s = run_switching([1.0, 1.0, 0.5], gains, cfg).switch_time
+        times, states, rates = samples[-1]
+        assert t_s in times
+        pre = GainConfig(gains.rho_pos, gains.rho_theta)
+        post = GainConfig(gains.rho_pos, gains.rho_theta_after_switch)
+        want = np.array([np.dot(k, k) for k in (unicycle_field(q, pre if t <= t_s else post)
+                                                 for t, q in zip(times, states))])
+        assert np.max(np.abs(np.array(rates) - want) / want) <= 1e-15
 
 
 class TestFastAttitudePropagator:
