@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (
-    ClosedFormSolution, basis_matrix, check_finite_fit, from_z_frame, to_z_frame
-)
+from .closedform import ClosedFormSolution, eval_solution, feasible_direction, fit_constants
 from .errors import InconclusiveError
 from .simulate import Trajectory, propagate_fast_attitude
 
-# |c2| below this counts as c2 = 0: the trajectory's limit is the origin
+# |c2| <= C2_TOL |X0|, at any scale of X0, counts as c2 = 0: the limit is the origin
 C2_TOL = 1e-8
 # Brockett scan grid: polar angles times radii, plus the radii on the feasible line
 SCAN_ANGLES = 40
@@ -61,9 +59,9 @@ def certify_stability(traj: Trajectory, field_fn, tol: float) -> StabilityCertif
     increment = float(traj.energy[-1] - traj.energy[idx])
     total = float(traj.energy[-1])
     qdot = np.asarray(field_fn(traj.states[-1]), float)
-    final_speed = float(np.linalg.norm(qdot))
+    final_speed = float(np.sqrt(qdot @ qdot))
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(traj.states, axis=1)
+        norms = np.sqrt(np.sum(traj.states**2, axis=1))
     if np.isinf(norms).any():  # |q|^2 overflowed; hypot is 4x slower but does not
         norms = np.hypot.reduce(traj.states, axis=1)
     slack = 1e-9 * (1.0 + norms[0])
@@ -76,6 +74,10 @@ def certify_stability(traj: Trajectory, field_fn, tol: float) -> StabilityCertif
         total_energy=total,
         last_window_increment=increment,
     )
+
+
+def _c2_is_zero(c2, x0_norm):
+    return abs(c2) <= C2_TOL * x0_norm
 
 
 @dataclass(frozen=True)
@@ -96,17 +98,16 @@ def asymptotics(sol: ClosedFormSolution) -> AsymptoticReport:
     identity and the limiting position is (0, 2 c2/pi): every trajectory
     lands on the vertical axis.  ``feasible_direction`` is the single
     initial-position direction (per theta0) for which c2 = 0, i.e. for
-    which the limit is the origin itself.
+    which the limit is the origin itself; ``c2_zero_feasible`` applies
+    _c2_is_zero with |X0| from the solution at t = 0.
     """
     z2_limit = 2.0 * sol.c2 / math.pi
-    direction = from_z_frame(basis_matrix(sol.theta0)[:, 0], sol.theta0)
-    direction = direction / math.hypot(*direction)
     return AsymptoticReport(
         z1_limit=0.0,
         z2_limit=z2_limit,
         x_infinity=(0.0, z2_limit),
-        c2_zero_feasible=abs(sol.c2) < C2_TOL,
-        feasible_direction=(float(direction[0]), float(direction[1])),
+        c2_zero_feasible=_c2_is_zero(sol.c2, math.hypot(*eval_solution(sol, 0.0).X)),
+        feasible_direction=feasible_direction(sol.theta0),
     )
 
 
@@ -167,30 +168,27 @@ class BrockettScanReport:
 def brockett_scan(theta0: float) -> BrockettScanReport:
     """Fit c2 over a polar grid of initial positions, plus starts on the
     feasible line, and locate the set where the trajectory limit is the
-    origin (|c2| below tolerance).
+    origin (c2 = 0 by _c2_is_zero).
 
-    The fit c = B(theta0)^-1 R(theta0)' X0 is linear in X0, so one basis
-    matrix and one solve serve every start.
+    The fit is linear in X0, so one fit_constants call serves every start.
     """
-    basis = basis_matrix(theta0)
-    direction = from_z_frame(basis[:, 0], theta0)
-    direction = direction / math.hypot(*direction)
+    direction = feasible_direction(theta0)
     angles = np.linspace(0.0, 2.0 * math.pi, SCAN_ANGLES, endpoint=False)
     rays = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     grid = SCAN_RADII[None, :, None] * rays[:, None, :]
     points = np.concatenate([grid.reshape(-1, 2), np.outer(SCAN_RADII, direction)])
-    c = np.linalg.solve(basis, to_z_frame(points.T, theta0))
-    check_finite_fit(c, theta0)
-    units = points / np.linalg.norm(points, axis=1, keepdims=True)
+    c2 = fit_constants(points.T, theta0)[1]
+    norms = np.sqrt(np.sum(points**2, axis=1))
+    units = points / norms[:, None]
     cross = np.abs(units[:, 0] * direction[1] - units[:, 1] * direction[0])
-    feasible = np.abs(c[1]) < C2_TOL
+    feasible = _c2_is_zero(c2, norms)
     n_feasible = int(np.count_nonzero(feasible))
     return BrockettScanReport(
         theta0=theta0,
         n_points=len(points),
         n_feasible=n_feasible,
         feasible_fraction=n_feasible / len(points),
-        feasible_direction=(float(direction[0]), float(direction[1])),
+        feasible_direction=direction,
         all_feasible_aligned=bool(np.all(cross[feasible] <= 1e-6)),
         max_offline_alignment=float(np.max(1.0 - cross[~feasible], initial=0.0)),
     )

@@ -116,27 +116,27 @@ def basis_matrix(theta0: float) -> np.ndarray:
     return np.array(_basis(theta0))
 
 
-def fit_constants(X0, theta0: float) -> tuple[float, float]:
-    """Solve for (c1, c2) so the closed form starts at position X0."""
-    b = basis_matrix(theta0)
-    rhs = to_z_frame(X0, theta0)
-    c = np.linalg.solve(b, rhs)
-    check_finite_fit(c, theta0)
-    return float(c[0]), float(c[1])
-
-
-def check_finite_fit(c: np.ndarray, theta0: float) -> None:
-    """Raise DegenerateAttitudeError unless every fitted constant is finite
-    (c1 ~ z1 / theta0 overflows at a subnormal theta0)."""
-    if not np.all(np.isfinite(c)):
+def fit_constants(X0, theta0: float) -> np.ndarray:
+    """Solve for (c1, c2) so the closed form starts at position X0, or at each
+    column of a 2 x n X0; a constant that is not finite (c1 ~ z1 / theta0
+    overflows at a subnormal theta0) raises DegenerateAttitudeError."""
+    c = np.linalg.solve(basis_matrix(theta0), to_z_frame(X0, theta0))
+    if not np.isfinite(c).all():
         raise DegenerateAttitudeError(
             f"theta0 = {float(theta0)!r} is degenerate: the fitted constants are not finite"
         )
+    return c
 
 
 def fit_solution(X0, theta0: float) -> ClosedFormSolution:
-    c1, c2 = fit_constants(X0, theta0)
+    c1, c2 = map(float, fit_constants(X0, theta0))
     return ClosedFormSolution(theta0=theta0, c1=c1, c2=c2)
+
+
+def feasible_direction(theta0: float) -> tuple[float, float]:
+    """Unit direction of the starts with c2 = 0, the only ones whose limit is the origin."""
+    d = from_z_frame(basis_matrix(theta0)[:, 0], theta0)
+    return tuple(map(float, d / math.hypot(*d)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ from driftless.analysis import (
     report_json,
     rho_positive_study,
 )
-from driftless.closedform import ClosedFormSolution, fit_constants, fit_solution
+from driftless.closedform import (
+    ClosedFormSolution, feasible_direction, fit_constants, fit_solution
+)
 from driftless.errors import DivergenceError, InconclusiveError
 from driftless.simulate import (
     GainConfig,
@@ -106,6 +108,14 @@ class TestAsymptotics:
         report = asymptotics(ClosedFormSolution(theta0=0.9, c1=1.0, c2=1.0))
         assert math.hypot(*report.feasible_direction) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scale, on_line", [(1e12, True), (1e-12, False)])
+    def test_c2_zero_rule_does_not_depend_on_scale(self, scale, on_line):
+        # an absolute |c2| < C2_TOL called the far on-line start off the line
+        # (c2 = -6.0e-5) and the tiny perpendicular one on it
+        dx, dy = feasible_direction(1.0)
+        X0 = scale * (np.array([dx, dy]) if on_line else np.array([-dy, dx]))
+        assert asymptotics(fit_solution(X0, 1.0)).c2_zero_feasible is on_line
+
 
 class TestRhoPositiveStudy:
     def test_position_collapses_attitude_spins(self):
@@ -149,8 +159,9 @@ class TestBrockettScan:
             report = brockett_scan(theta0)
             starts = ring + [r * np.array(report.feasible_direction) for r in radii]
             c2 = np.array([fit_constants(x, theta0)[1] for x in starts])
+            norms = np.array([math.hypot(*x) for x in starts])
             assert report.n_points == len(starts)
-            assert report.n_feasible == np.count_nonzero(np.abs(c2) < C2_TOL)
+            assert report.n_feasible == np.count_nonzero(np.abs(c2) <= C2_TOL * norms)
 
     def test_on_line_points_reach_origin(self):
         report = brockett_scan(1.0)

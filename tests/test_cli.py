@@ -254,6 +254,29 @@ def test_subnormal_attitude_is_degenerate(tmp_path, capsys, monkeypatch, argv):
     assert "degenerate" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "q0", ["1e308,1e308,20", "1e308,-1e308,45", "1.7e308,0,30", "1e308,1e308,1e6"]
+)
+def test_fit_at_largest_starts_is_finite(capsys, q0):
+    # the pivoting solve stays finite; Cramer's rule with det = 2 theta0 / pi
+    # overflows on each of these
+    code, out, _ = run(capsys, "fit", f"--q0={q0}")
+    assert code == EXIT_OK
+    payload = strict_json(out)
+    assert math.isfinite(payload["c1"]) and math.isfinite(payload["c2"])
+
+
+@pytest.mark.parametrize("q0, code", [("0,0,1e-320", EXIT_OK), ("1,0,1e-320", EXIT_DEGENERATE)])
+def test_fit_at_subnormal_attitude(capsys, q0, code):
+    # the zero start fits with c1 = c2 = 0 (adj(B) / det is infinite here, and
+    # inf * 0 is NaN); any other start overflows c1 ~ x / theta0
+    got, out, _ = run(capsys, "fit", f"--q0={q0}")
+    assert got == code
+    if code == EXIT_OK:
+        payload = strict_json(out)
+        assert payload["c1"] == 0.0 and payload["c2"] == 0.0
+
+
 @pytest.mark.parametrize("what", ["asymptotics", "brockett"])
 def test_feasible_direction_at_tiny_attitude(capsys, what):
     # |direction| ~ theta0 = 1e-300, whose square underflows

@@ -50,6 +50,15 @@ class TestFitConstants:
         c1, c2 = fit_constants([0.0, 0.0], 1.3)
         assert c1 == 0.0 and c2 == 0.0
 
+    @pytest.mark.parametrize("theta0", [-1.7, 1.3, 30.0])
+    def test_batch_matches_single_starts(self, theta0):
+        starts = np.array([[1.0, -0.5], [0.0, 2.0], [3.0, 0.25], [0.0, 0.0]])
+        c = fit_constants(starts.T, theta0)
+        assert c.shape == (2, len(starts))
+        for col, X0 in zip(c.T, starts):
+            # LAPACK may round a column of several right-hand sides 1 ulp apart
+            np.testing.assert_allclose(col, fit_constants(X0, theta0), rtol=1e-15, atol=0.0)
+
     def test_determinant_is_wronskian(self):
         for theta0 in [-2.5, -0.3, 0.4, 1.0, 3.0, 60.0]:
             det = np.linalg.det(basis_matrix(theta0))
