@@ -17,7 +17,7 @@ from .closedform import ClosedFormSolution, eval_solution, feasible_direction, f
 from .errors import InconclusiveError
 from .simulate import Trajectory, propagate_fast_attitude
 
-# |c2| <= C2_TOL |X0|, at any scale of X0, counts as c2 = 0: the limit is the origin
+# |c2| |B e2| <= C2_TOL |X0| counts as c2 = 0, B e2 the basis column that c2 multiplies
 C2_TOL = 1e-8
 # Brockett scan grid: polar angles times radii, plus the radii on the feasible line
 SCAN_ANGLES = 40
@@ -76,8 +76,9 @@ def certify_stability(traj: Trajectory, field_fn, tol: float) -> StabilityCertif
     )
 
 
-def _c2_is_zero(c2, x0_norm):
-    return abs(c2) <= C2_TOL * x0_norm
+def _c2_is_zero(c2, theta0, x0_norm):
+    e2_norm = math.hypot(*eval_solution(ClosedFormSolution(theta0, 0.0, 1.0), 0.0).X)
+    return abs(c2) * e2_norm <= C2_TOL * x0_norm
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def asymptotics(sol: ClosedFormSolution) -> AsymptoticReport:
         z1_limit=0.0,
         z2_limit=z2_limit,
         x_infinity=(0.0, z2_limit),
-        c2_zero_feasible=_c2_is_zero(sol.c2, math.hypot(*eval_solution(sol, 0.0).X)),
+        c2_zero_feasible=_c2_is_zero(sol.c2, sol.theta0, math.hypot(*eval_solution(sol, 0.0).X)),
         feasible_direction=feasible_direction(sol.theta0),
     )
 
@@ -181,7 +182,7 @@ def brockett_scan(theta0: float) -> BrockettScanReport:
     norms = np.sqrt(np.sum(points**2, axis=1))
     units = points / norms[:, None]
     cross = np.abs(units[:, 0] * direction[1] - units[:, 1] * direction[0])
-    feasible = _c2_is_zero(c2, norms)
+    feasible = _c2_is_zero(c2, theta0, norms)
     n_feasible = int(np.count_nonzero(feasible))
     return BrockettScanReport(
         theta0=theta0,

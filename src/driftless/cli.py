@@ -20,6 +20,7 @@ mirror with metadata.  Angles are radians.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -274,7 +275,10 @@ def _add_output(p, name):
     p.set_defaults(out_name=name)  # the default file is <name>.<format>
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args returns a fresh Namespace each call
+    and every default is immutable, so no main() call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="driftless",
         description=__doc__,

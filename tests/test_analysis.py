@@ -8,6 +8,7 @@ import pytest
 
 from driftless.analysis import (
     C2_TOL,
+    SCAN_ANGLES,
     asymptotics,
     brockett_scan,
     certify_stability,
@@ -15,7 +16,7 @@ from driftless.analysis import (
     rho_positive_study,
 )
 from driftless.closedform import (
-    ClosedFormSolution, feasible_direction, fit_constants, fit_solution
+    ClosedFormSolution, basis_matrix, feasible_direction, fit_constants, fit_solution
 )
 from driftless.errors import DivergenceError, InconclusiveError
 from driftless.simulate import (
@@ -116,6 +117,16 @@ class TestAsymptotics:
         X0 = scale * (np.array([dx, dy]) if on_line else np.array([-dy, dx]))
         assert asymptotics(fit_solution(X0, 1.0)).c2_zero_feasible is on_line
 
+    @pytest.mark.parametrize("theta0", [67028.98240884578, -67028.98240884578])
+    def test_c2_zero_rule_measures_the_angle_off_the_line(self, theta0):
+        # 1e-6 rad off the line, |c2| / |X0| is 4.8e-9 here (|B e2| = 207), which
+        # an absolute or |X0|-relative rule calls zero; c2's share is 1e-6
+        dx, dy = feasible_direction(theta0)
+        c, s = math.cos(1e-6), math.sin(1e-6)
+        X0 = np.array([c * dx - s * dy, s * dx + c * dy])
+        assert not asymptotics(fit_solution(X0, theta0)).c2_zero_feasible
+        assert asymptotics(fit_solution(np.array([dx, dy]), theta0)).c2_zero_feasible
+
 
 class TestRhoPositiveStudy:
     def test_position_collapses_attitude_spins(self):
@@ -160,8 +171,29 @@ class TestBrockettScan:
             starts = ring + [r * np.array(report.feasible_direction) for r in radii]
             c2 = np.array([fit_constants(x, theta0)[1] for x in starts])
             norms = np.array([math.hypot(*x) for x in starts])
+            e2_norm = math.hypot(*basis_matrix(theta0)[:, 1])
             assert report.n_points == len(starts)
-            assert report.n_feasible == np.count_nonzero(np.abs(c2) <= C2_TOL * norms)
+            assert report.n_feasible == np.count_nonzero(np.abs(c2) * e2_norm <= C2_TOL * norms)
+
+    def test_criterion_5_over_a_sweep_of_attitudes(self):
+        # 401 log-spaced |theta0| in [1e-3, 1e8], both signs, up to 2e6. A grid
+        # ray counts only within about C2_TOL rad of the feasible line (c2's
+        # share of a start is at least the sine of its angle off the line).
+        # That line tends to the 45 (135) degree grid ray as theta0 grows, and
+        # the sweep meets it to within C2_TOL at 2.29e5 and 1.85e6: there the
+        # ray's 50 starts count with the 25 on the line.
+        step = math.pi / (SCAN_ANGLES // 2)
+        hits = 0
+        for theta0 in [s * t for t in np.logspace(-3, 8, 401) if t < 2e6 for s in (1.0, -1.0)]:
+            report = brockett_scan(float(theta0))
+            assert report.all_feasible_aligned
+            angle = math.atan2(report.feasible_direction[1], report.feasible_direction[0]) % step
+            if min(angle, step - angle) > 1.01 * C2_TOL:
+                assert report.n_feasible <= 27, theta0
+            else:
+                hits += 1
+                assert report.n_feasible == 75, theta0
+        assert hits == 4
 
     def test_on_line_points_reach_origin(self):
         report = brockett_scan(1.0)

@@ -21,7 +21,7 @@ from driftless.cli import (
     main,
 )
 import driftless
-from driftless import simulate
+from driftless import cli, simulate
 from driftless.closedform import degenerate_eval, eval_solution, fit_solution
 from driftless.simulate import GainConfig, IntegratorConfig, Trajectory, integrate_unicycle
 
@@ -285,6 +285,16 @@ def test_feasible_direction_at_tiny_attitude(capsys, what):
     direction = json.loads(out)["feasible_direction"]
     assert all(math.isfinite(v) for v in direction)
     assert math.hypot(*direction) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("theta0", ["67028.98240884578", "-67028.98240884578"])
+def test_brockett_scan_at_large_attitude(capsys, theta0):
+    # the grid ray 1.6e-6 rad off the feasible line has |c2| / |X0| = 7.6e-9 here:
+    # only c2's share of the start, |c2| |B e2| / |X0|, tells it from the line
+    code, out, _ = run(capsys, "analyze", "--what", "brockett", f"--q0=1,0,{theta0}")
+    report = strict_json(out)
+    assert code == EXIT_OK and report["all_feasible_aligned"]
+    assert report["n_feasible"] <= 27
 
 
 def test_analyze_asymptotics(capsys):
@@ -705,3 +715,32 @@ def test_module_entry_point_exit_codes(argv, code, message):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_flags_between_calls(tmp_path, capsys):
+    code, _, err = run(capsys, "compare", "--q0", "1,0,1", "--method", "rk5")
+    assert code == EXIT_INVALID and "invalid choice" in err
+    configs = []
+    for name, gains in (("one", ["--rho", "-1"]), ("two", ["--rho-pos", "-1", "--rho-theta", "-0.5"])):
+        path = tmp_path / f"{name}.json"
+        code, _, _ = run(capsys, "simulate", "--q0", "1,0,0.5", *gains, "--t-end", "0.1",
+                         "--format", "json", "--out", str(path))
+        assert code == EXIT_OK
+        configs.append(strict_json(path.read_text())["meta"]["config"])
+    assert configs[0]["rho"] == configs[0]["rho_pos"] == configs[0]["rho_theta"] == -1.0
+    assert "rho" not in configs[1]
+    assert (configs[1]["rho_pos"], configs[1]["rho_theta"]) == (-1.0, -0.5)
+
+
+def test_each_subcommand_keeps_its_t_end_default():
+    defaults = {"analyze": 30.0, "switch": 25.0, "simulate": 10.0, "compare": 10.0,
+                "closed-form": 10.0}
+    extra = {"analyze": ["--what", "stability"]}
+    for command, t_end in defaults.items():
+        argv = [command, "--q0", "1,0,1", *extra.get(command, [])]
+        assert cli.build_parser().parse_args([*argv, "--t-end", "3"]).t_end == 3.0
+        assert cli.build_parser().parse_args(argv).t_end == t_end

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import driftless
 from driftless import simulate
 from driftless.core import closed_loop_field
 from driftless.errors import DivergenceError, RangeError, SwitchTimeoutError
@@ -488,6 +489,52 @@ class TestTrajectoryIO:
         assert payload["columns"] == ["t", "x_c", "y_c", "theta", "energy"]
         assert payload["meta"]["note"] == "x"
         assert payload["rows"][0][1] == 1.0
+
+    @staticmethod
+    def dumps_json(traj, meta=None):
+        # reference: the whole payload through json.dumps, rows included
+        payload = {
+            "meta": {"tool_version": driftless.__version__, **(meta or {})},
+            "columns": ["t", "x_c", "y_c", "theta", "energy"],
+            "rows": np.column_stack((traj.times, traj.states, traj.energy)).tolist(),
+        }
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+    SPECIAL = [-0.0, 5e-324, 1e-310, 1e308, 1e16, 1e-5, 0.1, -1e308, -5e-324, 1e-7, 1e22]
+    META = {"config": {"command": "switch", "q0": "1,0,0.5", "nested": {"tol": 1e-10, "ok": True,
+                                                                       "gains": [-1.0, 1.0]}},
+            "stopped": "divergence guard tripped at |q| = 1e6 — Ωmega “quoted” é %s %r"}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 11])
+    @pytest.mark.parametrize("meta", [None, META], ids=["no-meta", "meta"])
+    def test_json_bytes_match_json_dumps(self, tmp_path, n, meta):
+        states = np.array([self.SPECIAL[(3 * i + j) % len(self.SPECIAL)] for i in range(n)
+                           for j in range(3)]).reshape(n, 3)
+        energy = np.array([abs(self.SPECIAL[(i + 5) % len(self.SPECIAL)]) for i in range(n)])
+        traj = Trajectory(np.arange(n) * 0.1, states, energy)
+        path = tmp_path / "out.json"
+        traj.to_json(str(path), meta=meta)
+        assert path.read_bytes() == self.dumps_json(traj, meta).encode()
+        if n == 0:
+            assert '"rows": []\n}' in path.read_text()
+
+    def test_json_bytes_of_a_run(self, tmp_path):
+        traj = self.make()
+        path = tmp_path / "out.json"
+        traj.to_json(str(path), meta=self.META)
+        assert path.read_bytes() == self.dumps_json(traj, self.META).encode()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_json_refuses_non_finite_states_and_writes_nothing(self, tmp_path, bad):
+        states = np.zeros((4, 3))
+        states[2, 1] = bad
+        traj = Trajectory(np.arange(4.0), states, np.zeros(4))
+        with pytest.raises(ValueError) as expected:
+            self.dumps_json(traj)
+        with pytest.raises(ValueError) as got:
+            traj.to_json(str(tmp_path / "out.json"))
+        assert str(got.value) == str(expected.value)
+        assert os.listdir(tmp_path) == []
 
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
