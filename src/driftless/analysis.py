@@ -19,7 +19,8 @@ from .simulate import Trajectory, propagate_fast_attitude
 
 # |c2| |B e2| <= C2_TOL |X0| counts as c2 = 0, B e2 the basis column that c2 multiplies
 C2_TOL = 1e-8
-# Brockett scan grid: polar angles times radii, plus the radii on the feasible line
+# Brockett scan grid: polar angles times radii, plus the radii on the feasible line; the
+# angles sit half a step off the 45 (135) degree line that the feasible line tends to
 SCAN_ANGLES = 40
 SCAN_RADII = np.linspace(0.1, 3.0, 25)
 
@@ -174,7 +175,7 @@ def brockett_scan(theta0: float) -> BrockettScanReport:
     The fit is linear in X0, so one fit_constants call serves every start.
     """
     direction = feasible_direction(theta0)
-    angles = np.linspace(0.0, 2.0 * math.pi, SCAN_ANGLES, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, SCAN_ANGLES, endpoint=False) + math.pi / SCAN_ANGLES
     rays = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     grid = SCAN_RADII[None, :, None] * rays[:, None, :]
     points = np.concatenate([grid.reshape(-1, 2), np.outer(SCAN_RADII, direction)])

@@ -232,16 +232,16 @@ def cmd_switch(args, q0, path) -> int:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand ``--config FILE`` (key = value lines) into CLI flags.
-
-    Explicit flags win because they come later on the synthesized line.
+    """Expand ``--config FILE`` or ``--config=FILE`` (key = value lines), anywhere
+    on the line, into CLI flags right after the subcommand: explicit flags win.
     """
+    argv = [w for a in argv for w in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if i + 1 >= len(argv) or not argv[i + 1]:
         raise ConfigError("--config needs a file path")
-    path = argv[i + 1]
+    path, argv = argv[i + 1], argv[:i] + argv[i + 2 :]
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -257,7 +257,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         # one token, so that a value with a leading minus is not read as an option
         extra.append(f"--{key.replace('_', '-')}={value}")
-    return argv[:i] + extra + argv[i + 2 :]
+    cmd = next((j + 1 for j, a in enumerate(argv) if not a.startswith("-")), len(argv))
+    return argv[:cmd] + extra + argv[cmd:]  # the subcommand is the first non-flag word
 
 
 def _add_common(p, t_end=10.0):
@@ -282,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftless",
         description=__doc__,
+        allow_abbrev=False,  # --conf F would parse as --config F, which is never expanded
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--config", help="key = value file expanded into flags", metavar="FILE"
-    )
+    parser.add_argument("--config", metavar="FILE",
+                        help="key = value file expanded into flags after the subcommand")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="integrate the closed-loop unicycle")

@@ -5,13 +5,14 @@ classical fixed-step RK4 (default, step 1e-3) and an adaptive Dormand-Prince
 RK45 for long-horizon runs.  It also provides the gain-switching strategy and
 a propagator for the regime where the attitude is destabilized and the closed
 loop rotates exponentially fast.  The closed loop is written once, as the
-float function _unicycle_rhs.  The unicycle's RK4 and the propagator share one
+float function unicycle_field.  The unicycle's RK4 and the propagator share one
 builder of RK4 transition matrices (the position is linear given the
 attitude).  The other steppers carry lists of Python floats and hand on the
 field each step evaluated at its node (RK4's end field, DP45's 7th stage): it
-is the node's energy integrand, and the switch's Hermite slopes.  Costs on a
-2-vCPU Xeon VM: one RK45 attempt about 22 us; switching runs from (10, -3, 2)
-to T = 30, 3.4-5.1 s, and from (1, 1, 0.5) with RK4 to T = 25, 0.14-0.17 s."""
+is the node's energy integrand, and the switch's Hermite slopes; _store keeps
+every stepped run's nodes.  Costs on a 2-vCPU Xeon VM: one RK45 attempt about
+22 us; switching runs from (10, -3, 2) to T = 30, 1.49-1.53 s, and from
+(1, 1, 0.5) with RK4 to T = 25, 0.07 s."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .bessel import MAX_ARG
 from .core import VectorFieldSet, as_state
-from .errors import DivergenceError, RangeError, SwitchTimeoutError
+from .errors import DivergenceError, RangeError, StoppedRunError, SwitchTimeoutError
 
 DIVERGENCE_FACTOR = 1e6
 # stored nodes of one run (rk4 t_end / step, rk45 steps of both switching phases,
@@ -86,20 +86,16 @@ class IntegratorConfig:
                              f"budget of {MAX_NODES:g} stored nodes")
 
 
-def _unicycle_rhs(x, y, th, rho_pos, rho_theta):
-    """Closed-loop unicycle derivative (x_c', y_c', theta') in Python floats;
+def unicycle_field(q, gains: GainConfig) -> tuple[float, float, float]:
+    """The closed-loop field (x_c', y_c', theta') at any 3-sequence q, as 3 floats;
     an infinite attitude (a stage that overflowed) gives a NaN position rate."""
+    x, y, th = float(q[0]), float(q[1]), float(q[2])
     try:
         c, s = math.cos(th), math.sin(th)
     except ValueError:
         c = s = math.nan
-    forward = rho_pos * (c * x + s * y)
-    return c * forward, s * forward, rho_theta * th
-
-
-def unicycle_field(q, gains: GainConfig) -> tuple[float, float, float]:
-    """The closed-loop field at any 3-sequence q, as 3 floats."""
-    return _unicycle_rhs(float(q[0]), float(q[1]), float(q[2]), gains.rho_pos, gains.rho_theta)
+    forward = gains.rho_pos * (c * x + s * y)
+    return c * forward, s * forward, gains.rho_theta * th
 
 
 def unicycle_field_set() -> VectorFieldSet:
@@ -166,14 +162,12 @@ class Trajectory:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    """Write a fresh file beside path and os.replace it: no partial file on
+    error, and open()'s mode (0666 less the umask, which the kernel applies)."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            # mkstemp makes the file 0600; give it the mode that open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -241,14 +235,13 @@ def _dp45_step(f, t, q, h):
     return q5, [a - b for a, b in zip(q5, q4)], k7
 
 
-def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, stored: int = 0, k0=None):
+def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, k0=None):
     """Yield (t, q, k) at accepted nodes after t0: q a new list of floats, k the
     field at q that the step evaluated (rk4: its end field, the next k1; rk45:
     the 7th stage).  f(t, q) maps a float list to a float sequence; k0 = f(t0,
     q0) is rk4's first k1 if given, and rk45 calls f only in its attempts.
-    Raises DivergenceError (the caller attaches the partial trajectory) when the
-    state norm explodes, or the adaptive step collapses or meets a NaN error
-    estimate; RangeError past MAX_NODES rk45 nodes, ``stored`` from a first phase.
+    Raises DivergenceError when the state norm explodes, or the adaptive step
+    collapses or meets a NaN error estimate.
     """
     guard = DIVERGENCE_FACTOR * max(1.0, math.hypot(*q0))
     t, q = t0, [float(v) for v in q0]
@@ -279,9 +272,7 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, stored: int = 0,
         if math.isnan(err):
             raise DivergenceError(f"error estimate is NaN at t={t:.6g}")
         if err <= 1.0:
-            t, q, stored = t + h, q_new, stored + 1
-            if stored > MAX_NODES:  # rk4 runs are refused up front by IntegratorConfig
-                raise RangeError(f"more than {MAX_NODES:g} nodes: the run exceeds the node budget")
+            t, q = t + h, q_new
             if not math.hypot(*q) <= guard:
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
             yield t, q, k
@@ -296,6 +287,29 @@ def _rate(k) -> float:
     return sum(v * v for v in k)
 
 
+def _store(run, stream, inside=None, k=None):
+    """Store each (t, q, k) node of ``stream`` in run = (times, states, rates)
+    as (t, q, |k|^2): RangeError past MAX_NODES nodes after the start; the run
+    so far goes to any StoppedRunError.  With ``inside``, stop before the first
+    node where inside(q) holds and return (t, q, k) of the last stored node (k
+    its field, or the start's) and of that node, as one 6-tuple; else None."""
+    times, states, rates = run
+    try:
+        for t, q, k_new in stream:
+            if inside is not None and inside(q):
+                return times[-1], states[-1], k, t, q, k_new
+            if len(times) > MAX_NODES:
+                raise RangeError(f"more than {MAX_NODES:g} nodes: the run exceeds the node budget")
+            times.append(t)
+            states.append(q)
+            rates.append(_rate(k_new))
+            k = k_new
+    except StoppedRunError as exc:
+        exc.trajectory = Trajectory.from_samples(*run)
+        raise
+    return None
+
+
 def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate q' = field_fn(q) from q0 over [0, t_end].
 
@@ -305,16 +319,9 @@ def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
     # the steppers carry lists of floats; field_fn takes and returns arrays
     f = lambda t, q: np.asarray(field_fn(np.array(q, float)), float).tolist()
     k0 = f(0.0, q0)
-    times, states, rates = [0.0], [q0], [_rate(k0)]
-    try:
-        for t, q, k in _step_stream(f, q0, cfg, k0=k0):
-            times.append(t)
-            states.append(q)
-            rates.append(_rate(k))
-    except DivergenceError as exc:
-        exc.trajectory = Trajectory.from_samples(times, states, rates)
-        raise
-    return Trajectory.from_samples(times, states, rates)
+    run = [0.0], [q0], [_rate(k0)]
+    _store(run, _step_stream(f, q0, cfg, k0=k0))
+    return Trajectory.from_samples(*run)
 
 
 def _coeffs(th, rho_pos):
@@ -447,35 +454,20 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
     f_post = lambda t, q: unicycle_field(q, post)
 
     k0 = f_pre(0.0, q0)
-    times, states, rates = [0.0], [q0], [_rate(k0)]
-    try:
-        if math.hypot(q0[0], q0[1]) <= eps:
-            switch_time, q_switch = 0.0, q0
-        else:
-            for t, q, k in _step_stream(f_pre, q0, cfg, k0=k0):
-                if math.hypot(q[0], q[1]) <= eps:
-                    break
-                times.append(t)
-                states.append(q)
-                rates.append(_rate(k))
-                k0 = k
-            else:
-                raise SwitchTimeoutError(
-                    f"position never entered radius {eps} before t={cfg.t_end}")
-            switch_time, q_switch = _switch_crossing(times[-1], states[-1], k0, t, q, k, eps)
-            if switch_time > times[-1]:
-                times.append(switch_time)
-                states.append(q_switch)
-                rates.append(_rate(f_pre(switch_time, q_switch)))
-        if switch_time < cfg.t_end:
-            for t, q, k in _step_stream(f_post, q_switch, cfg, switch_time, len(times) - 1):
-                times.append(t)
-                states.append(q)
-                rates.append(_rate(k))
-    except (DivergenceError, SwitchTimeoutError) as exc:
-        exc.trajectory = Trajectory.from_samples(times, states, rates)
-        raise
-    return SwitchResult(Trajectory.from_samples(times, states, rates), switch_time)
+    run = [0.0], [q0], [_rate(k0)]
+    inside = lambda q: math.hypot(q[0], q[1]) <= eps
+    switch_time, q_switch = 0.0, q0
+    if not inside(q0):
+        crossing = _store(run, _step_stream(f_pre, q0, cfg, k0=k0), inside, k0)
+        if crossing is None:
+            raise SwitchTimeoutError(f"position never entered radius {eps} before t={cfg.t_end}",
+                                     Trajectory.from_samples(*run))
+        switch_time, q_switch = _switch_crossing(*crossing, eps)
+        if switch_time > run[0][-1]:  # past the last stored node
+            _store(run, [(switch_time, q_switch, f_pre(switch_time, q_switch))])
+    if switch_time < cfg.t_end:
+        _store(run, _step_stream(f_post, q_switch, cfg, switch_time))
+    return SwitchResult(Trajectory.from_samples(*run), switch_time)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:

@@ -507,6 +507,74 @@ def test_bad_config_file(tmp_path, capsys):
     assert "key = value" in err
 
 
+@pytest.mark.parametrize("where", [
+    lambda cfg, rest: ["--config", cfg, "simulate", *rest],
+    lambda cfg, rest: [f"--config={cfg}", "simulate", *rest],
+    lambda cfg, rest: ["simulate", *rest, "--config", cfg],
+    lambda cfg, rest: ["simulate", f"--config={cfg}", *rest],
+], ids=["before-command", "before-command-joined", "after-flags", "after-command-joined"])
+def test_config_file_anywhere_on_the_line(tmp_path, capsys, where):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 0.5\n")
+    out = tmp_path / "c.csv"
+    code, _, err = run(capsys, *where(str(cfg), ["--q0", "1,0,1", "--rho", "-1", "--out", str(out)]))
+    assert code == EXIT_OK, err
+    assert len(np.loadtxt(out, delimiter=",", skiprows=1)) == 501
+
+
+@pytest.mark.parametrize("where", [
+    lambda cfg: ["simulate", "--t-end", "0.2", "--config", cfg],
+    lambda cfg: ["--config", cfg, "simulate", "--t-end", "0.2"],
+    lambda cfg: ["simulate", f"--config={cfg}", "--t-end", "0.2"],
+], ids=["config-last", "config-first", "config-joined-between"])
+def test_explicit_flags_win_over_the_config_file(tmp_path, capsys, where):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 0.5\nrho = -1\n")
+    out = tmp_path / "c.csv"
+    code, _, err = run(capsys, *where(str(cfg)), "--q0", "1,0,1", "--out", str(out))
+    assert code == EXIT_OK, err
+    assert len(np.loadtxt(out, delimiter=",", skiprows=1)) == 201
+
+
+def test_config_file_before_a_command_without_integrator_flags(tmp_path, capsys):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("q0 = 1,0,1\n")
+    code, out, err = run(capsys, "--config", str(cfg), "fit")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["theta0"] == 1.0
+
+
+def test_config_flag_is_not_abbreviated(tmp_path, capsys, monkeypatch):
+    # an abbreviated --conf would be parsed as --config and its file ignored
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 0.5\n")
+    code, _, _ = run(capsys, "--conf", str(cfg), "simulate", "--q0", "1,0,1", "--rho", "-1")
+    assert code == EXIT_INVALID
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("config", [["--config"], ["--config="], ["--config", "missing.cfg"],
+                                    ["--config", "."]],
+                         ids=["no-path", "empty-path", "missing-file", "directory"])
+def test_config_without_a_readable_file_is_invalid(tmp_path, capsys, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, "simulate", "--q0", "1,0,1", "--rho", "-1", *config)
+    assert code == EXIT_INVALID and out == ""
+    assert "--config" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("q0", ["1,0", "1,0,1,2", "1,x,1", "1,,1"])
+def test_malformed_q0_is_invalid_config(tmp_path, capsys, monkeypatch, q0):
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    code, out, err = run(capsys, "simulate", "--rho", "-1", "--t-end", "0.1", f"--q0={q0}")
+    assert code == EXIT_INVALID and out == ""
+    assert "--q0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
     code, stdout, _ = run(

@@ -6,6 +6,7 @@ invalid exits 2."""
 
 import contextlib
 import io
+import itertools
 import math
 
 import pytest
@@ -41,6 +42,7 @@ JSON_STDOUT = {"fit", "compare", "stability", "asymptotics", "brockett", "rho-po
 # README's one rule: every number is finite, and these are also positive
 # (closed-form's --t-end may be 0)
 POSITIVE = {"t_end", "step", "abs_tol", "rel_tol", "sample_dt", "tol", "switch_radius"}
+SERIAL = itertools.count()
 
 
 def documented_invalid(name, args):
@@ -90,14 +92,18 @@ def test_edge_values_exit_as_documented(workdir, case):
     name, q0, chosen, via_config = case
     base, _ = COMMANDS[name]
     argv = base + ["--q0=" + ",".join(q0)]
+    # a fresh name per example: replacing an existing file costs tens of ms on ext4
+    serial = next(SERIAL)
     if via_config:
-        path = workdir / "edge.cfg"
+        # explicit flags win over the file: drop the base flags that it sets
+        argv = [a for a in argv if a.split("=", 1)[0] not in chosen]
+        path = workdir / f"edge{serial}.cfg"
         path.write_text("".join(f"{f[2:].replace('-', '_')} = {v}\n" for f, v in chosen.items()))
         argv += ["--config", str(path)]
     else:
         argv += [f"{f}={v}" for f, v in chosen.items()]
     if name in ("simulate", "closed-form", "switch"):
-        argv += ["--out", str(workdir / "edge.out")]
+        argv += ["--out", str(workdir / f"edge{serial}.out")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)  # an exception here is the traceback and exit 1 of a real run

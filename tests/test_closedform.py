@@ -80,6 +80,11 @@ class TestFitConstants:
         with pytest.raises(DegenerateAttitudeError):
             fit_constants([1.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("theta0", [0.0, -0.0])
+    def test_solution_refuses_zero_attitude(self, theta0):
+        with pytest.raises(DegenerateAttitudeError, match="degenerate_eval"):
+            ClosedFormSolution(theta0=theta0, c1=1.0, c2=0.0)
+
 
 class TestEval:
     def test_reproduces_initial_condition(self):

@@ -173,6 +173,24 @@ class TestIntegrate:
         traj = excinfo.value.trajectory
         assert 0.5 < traj.times[-1] <= math.log(2.0) + 1e-6
 
+    def test_rk45_divergence_guard(self):
+        # q' = q^2 from 1 blows up at t = 1; the guard (1e6 |q0|) stops it just before
+        with pytest.raises(DivergenceError, match="guard at t=0.999999$") as excinfo:
+            integrate(lambda q: q * q, [1.0], IntegratorConfig(method="rk45", t_end=2.0))
+        traj = excinfo.value.trajectory
+        assert 0.99 < traj.times[-1] < 1.0
+        assert 1.0 < traj.final_state[0] <= 1e6
+
+    def test_rk45_collapsed_step(self):
+        # the field flips sign at q = 0.5: no step across it is ever accepted
+        field = lambda q: np.where(q < 0.5, 1e4, -1e4)
+        with pytest.raises(DivergenceError, match="collapsed below floor") as excinfo:
+            integrate(field, [0.0], IntegratorConfig(method="rk45", t_end=1.0))
+        traj = excinfo.value.trajectory
+        # the last accepted node lies just below the jump
+        assert 0.0 < traj.times[-1] < 1e-4
+        assert 0.5 - 1e-8 < traj.final_state[0] < 0.5
+
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError) as excinfo:
             integrate(lambda q: q, np.array([1.0]), IntegratorConfig(step=1e-2, t_end=50.0))
@@ -563,6 +581,29 @@ class TestTrajectoryIO:
             os.umask(old)
         mode = stat.S_IMODE((tmp_path / "out").stat().st_mode)
         assert mode == stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+    def test_write_leaves_the_umask_alone(self, tmp_path, monkeypatch, writer):
+        # setting the umask, even briefly, changes the mode of files other threads create
+        def umask(mask):
+            raise AssertionError("os.umask called during a write")
+
+        monkeypatch.setattr(os, "umask", umask)
+        getattr(self.make(), writer)(str(tmp_path / "out"))
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_replace_leaves_no_part_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("before\n")
+
+        def replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="replace failed"):
+            self.make().to_csv(str(target))
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert target.read_text() == "before\n"
 
 
 @pytest.mark.parametrize("field", ["step", "abs_tol", "rel_tol", "t_end"])
