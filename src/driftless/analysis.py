@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ClosedFormSolution, eval_solution, feasible_direction, fit_constants
+from .closedform import ClosedFormSolution, basis_matrix, feasible_direction, fit_constants
 from .errors import InconclusiveError
 from .simulate import Trajectory, propagate_fast_attitude
 
@@ -77,9 +77,8 @@ def certify_stability(traj: Trajectory, field_fn, tol: float) -> StabilityCertif
     )
 
 
-def _c2_is_zero(c2, theta0, x0_norm):
-    e2_norm = math.hypot(*eval_solution(ClosedFormSolution(theta0, 0.0, 1.0), 0.0).X)
-    return abs(c2) * e2_norm <= C2_TOL * x0_norm
+def _c2_is_zero(c2, basis, x0_norm):  # basis = basis_matrix(theta0)
+    return abs(c2) * math.hypot(*basis[:, 1]) <= C2_TOL * x0_norm
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,15 @@ def asymptotics(sol: ClosedFormSolution) -> AsymptoticReport:
     lands on the vertical axis.  ``feasible_direction`` is the single
     initial-position direction (per theta0) for which c2 = 0, i.e. for
     which the limit is the origin itself; ``c2_zero_feasible`` applies
-    _c2_is_zero with |X0| from the solution at t = 0.
+    _c2_is_zero with |X0| = |Z0| = |B (c1, c2)|, B the basis at theta0.
     """
     z2_limit = 2.0 * sol.c2 / math.pi
+    basis = basis_matrix(sol.theta0)
     return AsymptoticReport(
         z1_limit=0.0,
         z2_limit=z2_limit,
         x_infinity=(0.0, z2_limit),
-        c2_zero_feasible=_c2_is_zero(sol.c2, sol.theta0, math.hypot(*eval_solution(sol, 0.0).X)),
+        c2_zero_feasible=_c2_is_zero(sol.c2, basis, math.hypot(*basis @ (sol.c1, sol.c2))),
         feasible_direction=feasible_direction(sol.theta0),
     )
 
@@ -183,7 +183,7 @@ def brockett_scan(theta0: float) -> BrockettScanReport:
     norms = np.sqrt(np.sum(points**2, axis=1))
     units = points / norms[:, None]
     cross = np.abs(units[:, 0] * direction[1] - units[:, 1] * direction[0])
-    feasible = _c2_is_zero(c2, theta0, norms)
+    feasible = _c2_is_zero(c2, basis_matrix(theta0), norms)
     n_feasible = int(np.count_nonzero(feasible))
     return BrockettScanReport(
         theta0=theta0,

@@ -127,19 +127,25 @@ def cmd_simulate(args, q0, path) -> int:
     return EXIT_OK
 
 
+def _closed_form_states(args, q0):
+    """The start's closed form, fitted before any run: t -> (x_c, y_c, theta) rows at t."""
+    sol = None if q0[2] == 0.0 and args.degenerate else closedform.fit_solution(q0[:2], q0[2])
+
+    def states(t):
+        if sol is None:
+            return np.column_stack((closedform.degenerate_eval(q0[0], q0[1], t), np.zeros_like(t)))
+        st = closedform.eval_solution(sol, t)  # its z1, z2, X go on return, before any write
+        return np.column_stack((st.X, st.theta))
+    return states
+
+
 def cmd_closed_form(args, q0, path) -> int:
     dt = args.sample_dt
     if args.t_end / dt > simulate.MAX_NODES:
         raise ConfigError(f"--t-end / --sample-dt = {args.t_end / dt:.3g} exceeds the "
                           f"budget of {simulate.MAX_NODES:g} samples")
     times = np.arange(0.0, args.t_end + 0.5 * dt, dt)
-    if q0[2] == 0.0 and args.degenerate:
-        X = closedform.degenerate_eval(q0[0], q0[1], times)
-        states = np.column_stack((X, np.zeros_like(times)))
-    else:
-        st = closedform.eval_solution(closedform.fit_solution(q0[:2], q0[2]), times)
-        states = np.column_stack((st.X, st.theta))
-        del st  # z1, z2, X would outlive the writer: 10 MB more peak RSS at 152k samples
+    states = _closed_form_states(args, q0)(times)
     # energy via the closed-loop identity E = (rho/2)(||q||^2 - ||q0||^2), in
     # this order so that E(0) = +0.0; Trajectory refuses one that overflows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -158,17 +164,12 @@ def cmd_fit(args, q0, path) -> int:
 
 def cmd_compare(args, q0, path) -> int:
     cfg = _integrator_config(args)
-    if q0[2] == 0.0 and args.degenerate:
-        position = lambda t: closedform.degenerate_eval(q0[0], q0[1], t)
-    else:
-        # fit before integrating: a degenerate start fails before the RK4 run
-        sol = closedform.fit_solution(q0[:2], q0[2])
-        position = lambda t: closedform.eval_solution(sol, t).X
+    closed_form = _closed_form_states(args, q0)
     traj = simulate.integrate_unicycle(q0, GainConfig(closedform.RHO, closedform.RHO), cfg)
     # adaptive nodes have no spacing to stride over; a stride past the end (even inf) keeps node 0
     ratio = args.sample_dt / cfg.step if cfg.method == "rk4" else 1.0
     stride = max(1, round(min(ratio, len(traj.times))))
-    ref = position(traj.times[::stride])
+    ref = closed_form(traj.times[::stride])[:, :2]
     err = np.abs(ref - traj.states[::stride, :2])
     report = {
         "sup_norm_error": float(np.max(err)),
@@ -201,8 +202,7 @@ def cmd_analyze(args, q0, path) -> int:
         print(analysis.report_json(cert))
         return EXIT_OK if cert.passed else EXIT_FAILED
     if args.what == "asymptotics":
-        sol = closedform.fit_solution(q0[:2], q0[2])
-        report = analysis.asymptotics(sol)
+        report = analysis.asymptotics(closedform.fit_solution(q0[:2], q0[2]))
         print(analysis.report_json(report))
         return EXIT_OK
     if args.what == "rho-positive":

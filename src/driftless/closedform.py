@@ -129,8 +129,7 @@ def fit_constants(X0, theta0: float) -> np.ndarray:
 
 
 def fit_solution(X0, theta0: float) -> ClosedFormSolution:
-    c1, c2 = map(float, fit_constants(X0, theta0))
-    return ClosedFormSolution(theta0=theta0, c1=c1, c2=c2)
+    return ClosedFormSolution(theta0, *map(float, fit_constants(X0, theta0)))
 
 
 def feasible_direction(theta0: float) -> tuple[float, float]:
@@ -182,9 +181,7 @@ def ode_residual(sol: ClosedFormSolution, t: float, h: float = 1e-4) -> float:
     """
     if t < 2.0 * h:
         raise ValueError("need t >= 2h for central differences")
-    zm = eval_solution(sol, t - h).z1
-    z0 = eval_solution(sol, t).z1
-    zp = eval_solution(sol, t + h).z1
+    zm, z0, zp = eval_solution(sol, t + np.array((-h, 0.0, h))).z1.tolist()
     d1 = (zp - zm) / (2.0 * h)
     d2 = (zp - 2.0 * z0 + zm) / (h * h)
     theta_dot = RHO * sol.theta0 * math.exp(RHO * t)

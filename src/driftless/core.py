@@ -89,7 +89,5 @@ def state_feedback(q, fields: VectorFieldSet, rho: float) -> np.ndarray:
 
 
 def closed_loop_field(q, fields: VectorFieldSet, rho: float) -> np.ndarray:
-    """State derivative under the feedback: q' = rho * sum_i S_i (q . S_i)."""
-    qv = as_state(q)
-    s = fields.matrix(qv)
-    return s @ (rho * (s.T @ qv))
+    """State derivative under the feedback: q' = S(q) u, u = state_feedback(q)."""
+    return fields.matrix(as_state(q)) @ state_feedback(q, fields, rho)

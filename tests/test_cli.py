@@ -297,6 +297,17 @@ def test_brockett_scan_at_large_attitude(capsys, theta0):
     assert report["n_feasible"] <= 27
 
 
+@pytest.mark.parametrize("theta0", ["0.47577739320959117", "-0.47577739320959117"])
+def test_brockett_scan_where_a_grid_ray_holds_the_feasible_line(capsys, theta0):
+    # the feasible line lies on the 13.5 degree ray (166.5 below 0): its 50 starts
+    # are rightly c2 = 0, so n_feasible passes criterion 5's 27, yet every feasible
+    # start is on the line, which is the claim the exit code checks
+    code, out, _ = run(capsys, "analyze", "--what", "brockett", f"--q0=1,0,{theta0}")
+    report = strict_json(out)
+    assert code == EXIT_OK and report["all_feasible_aligned"]
+    assert report["n_feasible"] == 75
+
+
 def test_analyze_asymptotics(capsys):
     code, out, _ = run(capsys, "analyze", "--what", "asymptotics", "--q0", "1,0,1")
     assert code == EXIT_OK
@@ -542,6 +553,15 @@ def test_config_file_before_a_command_without_integrator_flags(tmp_path, capsys)
     code, out, err = run(capsys, "--config", str(cfg), "fit")
     assert code == EXIT_OK, err
     assert json.loads(out)["theta0"] == 1.0
+
+
+def test_config_key_the_subcommand_does_not_take_is_refused(tmp_path, capsys):
+    # one file per subcommand: argparse names the expanded flag it does not know
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end = 0.5\n")
+    code, out, err = run(capsys, "--config", str(cfg), "fit", "--q0", "1,0,1")
+    assert code == EXIT_INVALID and out == ""
+    assert "unrecognized arguments: --t-end=0.5" in err
 
 
 def test_config_flag_is_not_abbreviated(tmp_path, capsys, monkeypatch):

@@ -554,6 +554,14 @@ class TestTrajectoryIO:
         assert str(got.value) == str(expected.value)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+    def test_exports_refuse_a_run_without_3_states(self, tmp_path, writer):
+        # the (t, x_c, y_c, theta, energy) columns would mislabel shorter rows
+        traj = integrate(lambda q: -q, [1.0], IntegratorConfig(t_end=0.002, step=0.001))
+        with pytest.raises(ValueError, match="3-state"):
+            getattr(traj, writer)(str(tmp_path / "out"))
+        assert os.listdir(tmp_path) == []
+
     def test_times_must_increase(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)), np.zeros(2))
