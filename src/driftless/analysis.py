@@ -129,17 +129,14 @@ def rho_positive_study(
 ) -> RotationStudyReport:
     """Drive the attitude unstable (rho_theta > 0) while keeping the
     position gain stabilizing, and record that the wheel-center position
-    still collapses to the origin as the vehicle spins ever faster.
+    still collapses to the origin as the vehicle spins ever faster: the
+    norms and theta_final are read from propagate_fast_attitude's rows.
     """
     if not (-math.inf < rho_pos < 0.0 < rho_theta < math.inf):
         raise ValueError("study expects finite gains rho_pos < 0 and rho_theta > 0")
-    q0 = np.asarray(q0, float)
-    theta0 = float(q0[2])
-    ts, Xs = propagate_fast_attitude(q0[:2], theta0, rho_pos, rho_theta, horizon)
-    # as the propagator forms it: exp(rho_theta T) overflows where theta0 is 0 or subnormal
-    theta_final = theta0 and math.copysign(
-        math.exp(math.log(abs(theta0)) + rho_theta * horizon), theta0)
-    norms = [math.hypot(*X) for X in Xs]
+    ts, states = propagate_fast_attitude(q0, rho_pos, rho_theta, horizon)
+    norms = [math.hypot(*X) for X in states[:, :2]]
+    theta0, theta_final = states[[0, -1], 2].tolist()
     return RotationStudyReport(
         times=tuple(float(t) for t in ts),
         position_norms=tuple(float(n) for n in norms),

@@ -8,8 +8,9 @@ mirror with metadata.  Angles are radians.  Exit codes:
     2  invalid configuration (argparse errors also exit 2): a number that
        is not finite, or a --t-end, --step, --abs-tol, --rel-tol,
        --sample-dt, --tol or --switch-radius that is not positive
-       (closed-form's --t-end may be 0); an --out that is a directory or
-       in a missing one; a run over the node budget
+       (closed-form's --t-end may be 0); an --out that is empty, a directory
+       or in a missing one; --rho with --rho-pos or --rho-theta; a repeated
+       --config; a run over the node budget
     3  divergence guard tripped
     4  switching condition never met
        (on 3 and 4, --out receives the trajectory up to the stop)
@@ -74,6 +75,8 @@ def _parse_q0(text: str) -> np.ndarray:
 
 def _out_path(path: str | None, default_name: str) -> str:
     """The output path, in a directory that exists (checked before any run)."""
+    if path == "":  # not the default name, which would replace ./<name> unasked
+        raise ConfigError("--out needs a file path, got ''")
     base = os.environ.get(OUT_DIR_ENV, ".")
     if path is None or not (os.path.isabs(path) or os.path.dirname(path)):
         path = os.path.join(base, path or default_name)
@@ -117,6 +120,8 @@ def _write(traj: Trajectory, path: str, args, **meta) -> None:
 
 def cmd_simulate(args, q0, path) -> int:
     if args.rho is not None:  # one gain for both loops, echoed as the pair
+        if args.rho_pos is not None or args.rho_theta is not None:
+            raise ConfigError("--rho cannot be combined with --rho-pos or --rho-theta")
         args.rho_pos = args.rho_theta = args.rho
     if args.rho_pos is None or args.rho_theta is None:
         raise ConfigError("simulate needs --rho or both --rho-pos/--rho-theta")
@@ -236,6 +241,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     on the line, into CLI flags right after the subcommand: explicit flags win.
     """
     argv = [w for a in argv for w in (a.split("=", 1) if a.startswith("--config=") else [a])]
+    if argv.count("--config") > 1:  # a second one would be taken for the subcommand
+        raise ConfigError("--config may be given only once")
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

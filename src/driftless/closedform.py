@@ -181,8 +181,9 @@ def ode_residual(sol: ClosedFormSolution, t: float, h: float = 1e-4) -> float:
     """
     if t < 2.0 * h:
         raise ValueError("need t >= 2h for central differences")
-    zm, z0, zp = eval_solution(sol, t + np.array((-h, 0.0, h))).z1.tolist()
+    st = eval_solution(sol, t + np.array((-h, 0.0, h)))
+    zm, z0, zp = st.z1.tolist()
     d1 = (zp - zm) / (2.0 * h)
     d2 = (zp - 2.0 * z0 + zm) / (h * h)
-    theta_dot = RHO * sol.theta0 * math.exp(RHO * t)
+    theta_dot = RHO * st.theta[1].item()  # theta' = RHO theta, at the stencil's centre
     return abs(d2 - 2.0 * RHO * d1 + RHO * RHO * (1.0 + theta_dot * theta_dot) * z0)

@@ -496,14 +496,8 @@ def _rotation_chunk_propagator(t: np.ndarray, theta: Callable, rho_pos: float) -
     return _ordered_product(np.stack(m, axis=-1).reshape(-1, 2, 2))
 
 
-def propagate_fast_attitude(
-    X0,
-    theta0: float,
-    rho_pos: float,
-    rho_theta: float,
-    t_end: float,
-):
-    """Position trajectory when the attitude gain is destabilizing.
+def propagate_fast_attitude(q0, rho_pos: float, rho_theta: float, t_end: float):
+    """Trajectory from q0 = (x_c, y_c, theta0) when the attitude gain is destabilizing.
 
     theta(t) = theta0 exp(rho_theta t) is exact, so the position subsystem
     is linear time-varying.  One path steps it in time with RK4 transition
@@ -516,9 +510,12 @@ def propagate_fast_attitude(
     From (1, 0, 0.5) at the paper's gains the run to T = 15 takes 8.2e6
     steps and 0.85 s on a 2-vCPU AMD EPYC VM.
 
-    Returns (times, positions) at FAST_SAMPLES + 1 evenly spaced times from
-    0 to t_end.
+    Returns (times, states) at FAST_SAMPLES + 1 evenly spaced times from 0 to
+    t_end, rows (x_c, y_c, theta) as in Trajectory.states: theta is the law
+    the steps use, and states[0] is q0.
     """
+    q0 = as_state(q0)
+    theta0 = q0[2]
     if not rho_theta > 0.0:
         raise ValueError("this propagator is for growing attitude (rho_theta > 0)")
     if not 0.0 < t_end < math.inf:
@@ -553,7 +550,7 @@ def propagate_fast_attitude(
     sign = math.copysign(1.0, theta0)
     theta = lambda t: sign * np.exp(log_s0 + rho_theta * t)
     out_t = np.linspace(0.0, t_end, FAST_SAMPLES + 1)
-    X = np.asarray(X0, float)
+    X = q0[:2]
     out_X = [X]
     for u_a, u_b in itertools.pairwise(clock(t) for t in out_t):
         n = max(1, math.ceil(u_b - u_a))
@@ -563,4 +560,6 @@ def propagate_fast_attitude(
                 FAST_STEP_S / s_c * np.maximum(u - u_c, 0.0)) / rho_theta
             X = _rotation_chunk_propagator(t, theta, rho_pos) @ X
         out_X.append(X)
-    return out_t, np.array(out_X)
+    states = np.column_stack((out_X, theta(out_t)))
+    states[0] = q0
+    return out_t, states

@@ -23,6 +23,7 @@ from driftless.simulate import (
     GainConfig,
     IntegratorConfig,
     integrate_unicycle,
+    propagate_fast_attitude,
     unicycle_field,
 )
 
@@ -148,6 +149,19 @@ class TestRhoPositiveStudy:
     def test_gain_signs_enforced(self):
         with pytest.raises(ValueError):
             rho_positive_study([1, 0, 0.5], 1.0, 1.0, horizon=5.0)
+
+    def test_theta_final_is_the_propagators_last_attitude(self):
+        # one law for the attitude: a copy of it in math.exp would differ from the
+        # propagator's np.exp by one ulp on some of these starts
+        rng = np.random.default_rng(23)
+        theta0s = rng.choice([-1.0, 1.0], 40) * rng.uniform(1e-3, 3.0, 40)
+        cases = list(zip(theta0s, rng.uniform(0.5, 6.0, 40)))
+        cases += [(0.0, 3.0), (-0.0, 3.0), (5e-324, 3.0)]
+        for theta0, horizon in cases:
+            q0 = [1.0, -0.5, theta0]
+            report = rho_positive_study(q0, -1.0, 1.0, horizon)
+            _, states = propagate_fast_attitude(q0, -1.0, 1.0, horizon)
+            assert report.theta_final.hex() == states[-1, 2].hex(), (theta0, horizon)
 
 
 class TestBrockettScan:

@@ -586,6 +586,54 @@ def test_config_without_a_readable_file_is_invalid(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("gains, cfg", [
+    (["--rho", "-1", "--rho-pos", "-2"], None),
+    (["--rho-theta", "-2", "--rho", "-1"], None),
+    (["--rho", "-1"], "rho_pos = -2\n"),
+    ([], "rho = -1\nrho_theta = -2\n"),
+], ids=["rho-pos", "rho-theta", "rho-pos-from-config", "both-from-config"])
+def test_rho_with_an_explicit_gain_is_invalid(tmp_path, capsys, monkeypatch, gains, cfg):
+    # else --rho would override the explicit gain and echo the override as rho_pos
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--q0", "1,0,1", "--t-end", "0.1", "--out", "t.json", *gains]
+    if cfg is not None:
+        (tmp_path / "g.cfg").write_text(cfg)
+        argv += ["--config", "g.cfg"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert "--rho cannot be combined with --rho-pos or --rho-theta" in err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("configs", [["--config", "a.cfg", "--config", "b.cfg"],
+                                     ["--config=a.cfg", "--config", "b.cfg"],
+                                     ["--config=a.cfg", "--config=a.cfg"]],
+                         ids=["spaced", "mixed", "joined-same-file"])
+def test_repeated_config_is_invalid(tmp_path, capsys, monkeypatch, configs):
+    # the second --config FILE would be taken for the subcommand and never read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text("t_end = 0.5\n")
+    (tmp_path / "b.cfg").write_text("rho = -1\n")
+    code, out, err = run(capsys, *configs, "simulate", "--q0", "1,0,1", "--out", "t.csv")
+    assert code == EXIT_INVALID and out == ""
+    assert "--config may be given only once" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
+
+
+@pytest.mark.parametrize("argv", [["--out", ""], ["--out="], ["--config", "o.cfg"]],
+                         ids=["spaced", "joined", "config"])
+def test_empty_out_is_invalid(tmp_path, capsys, monkeypatch, argv):
+    # an empty path would fall back to ./trajectory.csv and replace it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DRIFTLESS_OUT_DIR", raising=False)
+    (tmp_path / "o.cfg").write_text("out =\n")
+    code, out, err = run(capsys, "simulate", "--q0", "1,0,1", "--rho", "-1", "--t-end", "0.1",
+                         *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert "--out needs a file path" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["o.cfg"]
+
+
 @pytest.mark.parametrize("q0", ["1,0", "1,0,1,2", "1,x,1", "1,,1"])
 def test_malformed_q0_is_invalid_config(tmp_path, capsys, monkeypatch, q0):
     monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))

@@ -57,6 +57,9 @@ def documented_invalid(name, args):
     # the per-command gain, horizon and budget rules
     if name == "closed-form":
         return args.t_end / args.sample_dt > simulate.MAX_NODES
+    if name == "simulate" and args.rho is not None and (
+            args.rho_pos is not None or args.rho_theta is not None):
+        return True
     if name in ("asymptotics", "brockett"):
         return not args.rho_pos == args.rho_theta < 0.0
     if name.startswith("rho-positive"):

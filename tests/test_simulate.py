@@ -436,14 +436,15 @@ class TestFastAttitudePropagator:
         ids=["paper-gains", "negative-attitude", "weak-position-gain", "stiff", "tiny-position-gain"],
     )
     def test_matches_adaptive_oracle_on_short_horizon(self, q0, rho_pos, t_end):
-        ts, Xs = propagate_fast_attitude(q0[:2], q0[2], rho_pos, 1.0, t_end)
+        ts, states = propagate_fast_attitude(q0, rho_pos, 1.0, t_end)
+        Xs = states[:, :2]
         f = lambda q: unicycle_field(q, GainConfig(rho_pos, 1.0))
         ref = integrate(f, q0, IntegratorConfig(method="rk45", t_end=t_end))
         assert ts[-1] == t_end
         assert np.allclose(Xs[-1], ref.final_state[:2], atol=1e-6)
 
     def test_zero_position_invariant(self):
-        _, Xs = propagate_fast_attitude([0.0, 0.0], 0.5, -1.0, 1.0, 10.0)
+        Xs = propagate_fast_attitude([0.0, 0.0, 0.5], -1.0, 1.0, 10.0)[1][:, :2]
         assert np.all(Xs == 0.0)
 
     @pytest.mark.parametrize("theta0", [0.0, 1e-320, -1e-300])
@@ -452,9 +453,17 @@ class TestFastAttitudePropagator:
         # theta = 0 one: x decays at rate rho_pos and y is frozen
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ts, Xs = propagate_fast_attitude([1.0, -0.5], theta0, -1.0, 1.0, 10.0)
+            ts, states = propagate_fast_attitude([1.0, -0.5, theta0], -1.0, 1.0, 10.0)
+        Xs = states[:, :2]
         expected = np.stack([np.exp(-ts), np.full_like(ts, -0.5)], axis=1)
         assert np.allclose(Xs, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("q0", [(1.0, 0.0, 0.5), (-0.0, 0.3, -0.0), (0.1, -0.2, 5e-324),
+                                    (2.5, 1.0, -2.7)])
+    def test_first_row_is_the_start(self, q0):
+        ts, states = propagate_fast_attitude(q0, -1.0, 1.0, 2.0)
+        assert states.shape == (len(ts), 3)
+        assert [x.hex() for x in states[0].tolist()] == [x.hex() for x in q0]
 
 
 class TestTrajectoryIO:
@@ -630,7 +639,7 @@ def test_gain_config_refuses_non_finite_gains(gains):
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1.0])
 def test_fast_attitude_refuses_bad_horizon(t_end):
     with pytest.raises(ValueError, match="horizon must be positive and finite"):
-        propagate_fast_attitude([1.0, 0.0], 0.5, -1.0, 1.0, t_end)
+        propagate_fast_attitude([1.0, 0.0, 0.5], -1.0, 1.0, t_end)
 
 
 def test_rk4_nodes_beyond_budget_are_refused():
