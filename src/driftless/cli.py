@@ -10,7 +10,8 @@ mirror with metadata.  Angles are radians.  Exit codes:
        --sample-dt, --tol or --switch-radius that is not positive
        (closed-form's --t-end may be 0); an --out that is empty, a directory
        or in a missing one; --rho with --rho-pos or --rho-theta; a repeated
-       --config; a run over the node budget
+       --config; a run over the node budget; an analyze --what stability
+       run too short for its windowed energy check
     3  divergence guard tripped
     4  switching condition never met
        (on 3 and 4, --out receives the trajectory up to the stop)
@@ -146,10 +147,13 @@ def _closed_form_states(args, q0):
 
 def cmd_closed_form(args, q0, path) -> int:
     dt = args.sample_dt
-    if args.t_end / dt > simulate.MAX_NODES:
-        raise ConfigError(f"--t-end / --sample-dt = {args.t_end / dt:.3g} exceeds the "
-                          f"budget of {simulate.MAX_NODES:g} samples")
-    times = np.arange(0.0, args.t_end + 0.5 * dt, dt)
+    stop = args.t_end + 0.5 * dt
+    # np.arange's length, ceil(stop / dt), less the start: counted before any sample is made
+    n = math.ceil(stop / dt) - 1 if stop / dt < math.inf else math.inf
+    if n > simulate.MAX_NODES:
+        raise ConfigError(f"--t-end / --sample-dt gives {n:.15g} samples after the start, "
+                          f"over the budget of {simulate.MAX_NODES}")
+    times = np.arange(0.0, stop, dt)
     states = _closed_form_states(args, q0)(times)
     # energy via the closed-loop identity E = (rho/2)(||q||^2 - ||q0||^2), in
     # this order so that E(0) = +0.0; Trajectory refuses one that overflows
@@ -189,6 +193,8 @@ def cmd_compare(args, q0, path) -> int:
 
 
 def cmd_analyze(args, q0, path) -> int:
+    if args.rho_theta is None:  # rho-positive studies the spinning attitude, rho_theta > 0
+        args.rho_theta = 1.0 if args.what == "rho-positive" else -1.0
     # fitted for rho = -1; every equal negative pair traces the same path in theta
     if args.what in ("asymptotics", "brockett") and not args.rho_pos == args.rho_theta < 0.0:
         raise ConfigError(f"--what {args.what} needs equal negative gains, got "
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, t_end=30.0)
     p.add_argument("--rho-pos", type=float, default=-1.0)
-    p.add_argument("--rho-theta", type=float, default=-1.0)
+    p.add_argument("--rho-theta", type=float, help="default 1 for rho-positive, else -1")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_analyze)
 

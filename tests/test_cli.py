@@ -401,6 +401,23 @@ def test_rho_positive_attitude_past_exp_overflow(capsys, q0, rho_theta, t_end, c
     assert report["attitude_grows"] is (code == EXIT_OK) and report["position_decays"]
 
 
+def test_rho_positive_default_gain_spins(capsys):
+    # --rho-theta defaults to 1 for rho-positive, to -1 for the other analyses
+    argv = ["analyze", "--what", "rho-positive", "--q0", "1,0,0.5", "--t-end", "5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out == run(capsys, *argv, "--rho-theta", "1")[1]
+    code, out, _ = run(capsys, "analyze", "--what", "asymptotics", "--q0", "1,0,1")
+    assert code == EXIT_OK and out == run(capsys, "analyze", "--what", "asymptotics",
+                                          "--q0", "1,0,1", "--rho-theta", "-1")[1]
+
+
+def test_stability_too_short_is_invalid(capsys):
+    code, out, err = run(capsys, "analyze", "--what", "stability", "--q0", "1,0,0.5",
+                         "--t-end", "0.01")
+    assert code == EXIT_INVALID and out == ""
+    assert "trajectory too short for a windowed energy check" in err
+
+
 def test_rho_positive_stiff_gain_ratio_decays(capsys):
     # rho_pos / rho_theta = -1000: a step bounded only by the attitude turn
     # leaves RK4's stability interval; RK45 gives |X(0.5)| = 0.18189
@@ -835,6 +852,18 @@ def test_closed_form_budget_boundary(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     code, _, err = run(capsys, "closed-form", "--q0", "1,0,1", "--t-end", "2.25", "--sample-dt", "0.25")
     assert code == EXIT_INVALID and "budget" in err
+
+
+def test_closed_form_budget_counts_the_samples(tmp_path, capsys, monkeypatch):
+    # --t-end / --sample-dt = 8.4 is over a budget of 8, but np.arange makes 8 samples after
+    # the start; 2.25 / 0.25 makes 9
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    monkeypatch.setattr(simulate, "MAX_NODES", 8)
+    code, _, _ = run(capsys, "closed-form", "--q0", "1,0,1", "--t-end", "2.1", "--sample-dt", "0.25")
+    assert code == EXIT_OK
+    assert len((tmp_path / "closed_form.csv").read_text().splitlines()) == 1 + 9
+    code, _, err = run(capsys, "closed-form", "--q0", "1,0,1", "--t-end", "2.25", "--sample-dt", "0.25")
+    assert code == EXIT_INVALID and "gives 9 samples after the start, over the budget of 8" in err
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -55,20 +55,22 @@ def documented_invalid(name, args):
                                       or (v == 0.0 and key == "t_end" and name == "closed-form"))):
             return True
     # the per-command gain, horizon and budget rules
-    if name == "closed-form":
-        return args.t_end / args.sample_dt > simulate.MAX_NODES
+    if name == "closed-form":  # np.arange's ceil(stop / dt) samples, the start among them
+        n = (args.t_end + 0.5 * args.sample_dt) / args.sample_dt
+        return not (n < math.inf and math.ceil(n) - 1 <= simulate.MAX_NODES)
     if name == "simulate" and args.rho is not None and (
             args.rho_pos is not None or args.rho_theta is not None):
         return True
-    if name in ("asymptotics", "brockett"):
-        return not args.rho_pos == args.rho_theta < 0.0
-    if name.startswith("rho-positive"):
-        return not args.rho_pos < 0.0 < args.rho_theta
+    if name in ("asymptotics", "brockett"):  # --rho-theta defaults to -1 here
+        return not args.rho_pos == (-1.0 if args.rho_theta is None else args.rho_theta) < 0.0
+    if name.startswith("rho-positive"):  # --rho-theta defaults to 1 here
+        return not args.rho_pos < 0.0 < (1.0 if args.rho_theta is None else args.rho_theta)
     if name == "switch" and not (args.rho_pos < 0.0 < args.rho_theta
                                  and args.rho_theta_after_switch < 0.0):
         return True
     if name in ("simulate", "compare", "stability", "switch"):
-        return args.t_end / args.step > simulate.MAX_NODES  # the default method, rk4
+        n = args.t_end / args.step  # the default method, rk4, makes round(n) steps
+        return not (n < math.inf and round(n) <= simulate.MAX_NODES)
     return False
 
 

@@ -223,6 +223,28 @@ def _dp45_reference(f, t, q, h):
     return q5, q5 - q4
 
 
+def _rooted_trees(n):
+    """Rooted trees with n nodes, each a sorted tuple of the root's subtrees."""
+    if n == 1:
+        return {()}
+    return {tuple(sorted(t + (s,))) for k in range(1, n)
+            for t in _rooted_trees(n - k) for s in _rooted_trees(k)}
+
+
+def _elementary_weights(a, tree):
+    """Phi(tree) per stage: the product over subtrees s of A Phi(s), ones for a leaf."""
+    phi = np.ones(len(a))
+    for s in tree:
+        phi = phi * (a @ _elementary_weights(a, s))
+    return phi
+
+
+def _density(tree):
+    """gamma(tree): its node count times the densities of its subtrees."""
+    nodes = lambda t: 1 + sum(nodes(s) for s in t)  # noqa: E731
+    return nodes(tree) * math.prod(_density(s) for s in tree)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, float), np.asarray(b, float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -256,6 +278,29 @@ class TestDP45Step:
         got, ref = _dp45_step(f, 0.0, list(q), h)[:2], _dp45_reference(f_array, 0.0, np.array(q), h)
         assert all(type(v) is float for part in got for v in part)
         assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+
+    def test_tableau_rows_sum_to_the_nodes(self):
+        for c, row in zip(_DP_C, _DP_A):
+            assert abs(math.fsum(row) - c) <= 1e-15
+
+    def test_weights_meet_the_order_conditions(self):
+        # b . Phi(t) = 1 / gamma(t) for every rooted tree t up to the order
+        assert [len(_rooted_trees(n)) for n in range(1, 6)] == [1, 1, 2, 4, 9]
+        a = np.zeros((7, 7))
+        for i, row in enumerate(_DP_A):
+            a[i, : len(row)] = row
+
+        def residuals(b, order):
+            return [abs(np.dot(b, _elementary_weights(a, t)) - 1.0 / _density(t))
+                    for n in range(1, order + 1) for t in _rooted_trees(n)]
+
+        assert max(residuals(_DP_B5, 5)) <= 1e-15
+        assert max(residuals(_DP_B4, 4)) <= 1e-15
+        assert max(residuals(_DP_B4, 5)) > 1e-4  # the embedded pair differs at order 5
+
+    def test_last_stage_is_the_fifth_order_solution(self):
+        # so k7, the field at the 7th stage input, is the field at the node q5
+        assert _DP_A[6] + (0.0,) == _DP_B5
 
     def test_orders_of_solution_and_estimate(self):
         # y' = -2 t y^2, y = 1 / (1 + t^2): a fifth-order step has local
@@ -644,5 +689,16 @@ def test_fast_attitude_refuses_bad_horizon(t_end):
 
 def test_rk4_nodes_beyond_budget_are_refused():
     IntegratorConfig(step=0.25, t_end=MAX_NODES * 0.25)
+    IntegratorConfig(step=0.001, t_end=1500.0003)  # rounds to MAX_NODES steps
     with pytest.raises(RangeError, match="budget"):
         IntegratorConfig(step=0.25, t_end=(MAX_NODES + 1) * 0.25)
+
+
+def test_rk4_budget_counts_the_steps_a_run_makes(monkeypatch):
+    # t_end / step = 10.4 is over a budget of 10, but the run makes round(10.4) = 10 steps
+    monkeypatch.setattr(simulate, "MAX_NODES", 10)
+    cfg = IntegratorConfig(step=1.0, t_end=10.4)
+    assert len(integrate_unicycle([1.0, 0.0, 0.5], EQUAL_GAINS, cfg).times) == 11
+    assert len(integrate(lambda q: unicycle_field(q, EQUAL_GAINS), [1.0, 0.0, 0.5], cfg).times) == 11
+    with pytest.raises(RangeError, match="gives 11 rk4 steps, over the budget of 10 stored"):
+        IntegratorConfig(step=1.0, t_end=10.6)
