@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: simulate, closed-form, fit, compare, analyze, switch.
+Subcommands: simulate, closed-form, fit, compare, analyze, switch (analyze's
+--rho-theta and --t-end default to 1 and 10 for --what rho-positive, else -1 and 30).
 Outputs use the fixed CSV schema (t, x_c, y_c, theta, energy) or a JSON
 mirror with metadata.  Angles are radians.  Exit codes:
 
@@ -195,6 +196,8 @@ def cmd_compare(args, q0, path) -> int:
 def cmd_analyze(args, q0, path) -> int:
     if args.rho_theta is None:  # rho-positive studies the spinning attitude, rho_theta > 0
         args.rho_theta = 1.0 if args.what == "rho-positive" else -1.0
+    if args.t_end is None:  # |theta0| e^10 stays below MAX_ARG = 1e8 up to |theta0| of 4.5e3
+        args.t_end = 10.0 if args.what == "rho-positive" else 30.0
     # fitted for rho = -1; every equal negative pair traces the same path in theta
     if args.what in ("asymptotics", "brockett") and not args.rho_pos == args.rho_theta < 0.0:
         raise ConfigError(f"--what {args.what} needs equal negative gains, got "
@@ -217,9 +220,7 @@ def cmd_analyze(args, q0, path) -> int:
         print(analysis.report_json(report))
         return EXIT_OK
     if args.what == "rho-positive":
-        report = analysis.rho_positive_study(
-            q0, rho_pos=args.rho_pos, rho_theta=args.rho_theta, horizon=args.t_end
-        )
+        report = analysis.rho_positive_study(q0, args.rho_pos, args.rho_theta, args.t_end)
         print(analysis.report_json(report))
         ok = report.position_decays and report.attitude_grows
         return EXIT_OK if ok else EXIT_FAILED
@@ -274,9 +275,9 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return argv[:cmd] + extra + argv[cmd:]  # the subcommand is the first non-flag word
 
 
-def _add_common(p, t_end=10.0):
+def _add_common(p, t_end=10.0, t_end_help=None):
     p.add_argument("--q0", required=True, help="initial state x_c,y_c,theta (radians)")
-    p.add_argument("--t-end", type=float, default=t_end)
+    p.add_argument("--t-end", type=float, default=t_end, help=t_end_help)
     p.add_argument("--method", choices=["rk4", "rk45"], default="rk4")
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--abs-tol", type=float, default=1e-10)
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["stability", "asymptotics", "rho-positive", "brockett"],
         required=True,
     )
-    _add_common(p, t_end=30.0)
+    _add_common(p, t_end=None, t_end_help="default 10 for rho-positive, else 30")
     p.add_argument("--rho-pos", type=float, default=-1.0)
     p.add_argument("--rho-theta", type=float, help="default 1 for rho-positive, else -1")
     p.add_argument("--tol", type=float, default=1e-6)

@@ -92,13 +92,12 @@ def _basis(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 def _basis_grid(theta: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """_basis at each attitude of the 1-D array theta, by the same arithmetic."""
+    """_basis at each attitude of the 1-D array theta: jy_array's by the same arithmetic."""
     s = abs(theta)
     big = ~(s < _SMALL_THETA)  # NaN goes to jy_array, which raises as bessel_j does
-    tiny = (s > 0.0) & ~big
-    y0s = np.zeros_like(s)
-    y0s[tiny] = (2.0 / math.pi) * (_math(math.log, s[tiny]) - math.log(2.0) + EULER_GAMMA)
-    a, b, c, d = theta.copy(), theta * y0s, -0.5 * s * s, np.full_like(s, 2.0 / math.pi)
+    a, b, c, d = (np.empty_like(s) for _ in range(4))
+    for i in np.flatnonzero(~big):  # only after t of about 345 + ln|theta0|
+        (a[i], b[i]), (c[i], d[i]) = _basis(float(theta[i]))
     (j0, y0, _, _), (j1, y1, _, _) = jy_array(s[big])
     a[big], b[big], c[big], d[big] = theta[big] * j0, theta[big] * y0, -s[big] * j1, -s[big] * y1
     return (a, b), (c, d)

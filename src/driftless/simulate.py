@@ -7,11 +7,11 @@ a propagator for the regime where the attitude is destabilized and the closed
 loop rotates exponentially fast.  The closed loop is written once, as the
 float function unicycle_field.  The unicycle's RK4 and the propagator share one
 builder of RK4 transition matrices (the position is linear given the
-attitude).  The other steppers carry lists of Python floats and hand on the
-field each step evaluated at its node (RK4's end field, DP45's 7th stage): it
-is the node's energy integrand, and the switch's Hermite slopes; _store keeps
-every stepped run's nodes.  Costs on a 2-vCPU Xeon VM: one RK45 attempt about
-22 us; switching runs from (10, -3, 2) to T = 30, 1.49-1.53 s, and from
+attitude).  The other steppers take an autonomous field f(q), carry lists of Python
+floats and hand on the field each step evaluated at its node (RK4's end field, DP45's
+7th stage): it is the node's energy integrand, and the switch's Hermite slopes; _store
+keeps every stepped run's nodes.  Costs on a 2-vCPU AMD EPYC VM: one RK45 attempt
+6.0-6.3 us; switching runs from (10, -3, 2) to T = 30, 1.31-1.36 s, and from
 (1, 1, 0.5) with RK4 to T = 25, 0.07 s."""
 
 from __future__ import annotations
@@ -105,6 +105,13 @@ def unicycle_field(q, gains: GainConfig) -> tuple[float, float, float]:
     return c * forward, s * forward, gains.rho_theta * th
 
 
+def _unicycle_start(q0) -> np.ndarray:
+    """q0 as a finite 3-vector (x_c, y_c, theta): every unicycle run's start, before any step."""
+    if (q0 := as_state(q0)).shape != (3,):
+        raise ValueError(f"unicycle state must have 3 entries, got {q0.size}")
+    return q0
+
+
 def unicycle_field_set() -> VectorFieldSet:
     """Control vector fields of the unicycle (unit forward and turn columns)."""
 
@@ -187,20 +194,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _rk4_step(f, t, q, h, k1):
-    """RK4 step from (t, q), k1 = f(t, q): (q_new, f(t + h, q_new)), the next k1.
+def _rk4_step(f, q, h, k1):
+    """RK4 step from q, k1 = f(q): (q_new, f(q_new)), the next k1.
     Written out for switch --method rk4, the default: _dp45_step's loop form took
-    2.9 us a step against 1.85 us on a 2-vCPU AMD EPYC VM."""
+    2.8 us a step against 1.9 us on a 2-vCPU AMD EPYC VM."""
     hh = 0.5 * h
-    k2 = f(t + hh, [v + hh * k for v, k in zip(q, k1)])
-    k3 = f(t + hh, [v + hh * k for v, k in zip(q, k2)])
-    k4 = f(t + h, [v + h * k for v, k in zip(q, k3)])
+    k2 = f([v + hh * k for v, k in zip(q, k1)])
+    k3 = f([v + hh * k for v, k in zip(q, k2)])
+    k4 = f([v + h * k for v, k in zip(q, k3)])
     q = [v + h / 6.0 * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(q, k1, k2, k3, k4)]
-    return q, f(t + h, q)
+    return q, f(q)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) tableau, without the nodes c_i: every field stepped here is autonomous
 _DP_A = (
     (),
     (1 / 5,),
@@ -214,8 +220,8 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _dp45_step(f, t, q, h):
-    """One Dormand-Prince attempt from (t, q): (q5, q5 - q4, k7) as lists of floats.
+def _dp45_step(f, q, h):
+    """One Dormand-Prince attempt from q: (q5, q5 - q4, k7) as lists of floats.
 
     Python floats, as numpy's per-call overhead exceeds the arithmetic on 3-vectors.
     Every sum runs left to right as in the array form, so q5 and q5 - q4 equal it bit
@@ -224,14 +230,14 @@ def _dp45_step(f, t, q, h):
     7th is q5 to rounding, so k7 is the node's field, not reused as the next k1 (no FSAL).
     """
     dims = range(len(q))
-    ks = [f(t, q)]
-    for c, row in zip(_DP_C[1:], _DP_A[1:]):
+    ks = [f(q)]
+    for row in _DP_A[1:]:
         stage = list(q)
         for a, k in zip(row, ks):
             ha = h * a
             for i in dims:
                 stage[i] += ha * k[i]
-        ks.append(f(t + c * h, stage))
+        ks.append(f(stage))
     s5, s4 = [0.0] * len(q), [0.0] * len(q)
     for b5, b4, k in zip(_DP_B5, _DP_B4, ks):
         for i in dims:
@@ -242,21 +248,19 @@ def _dp45_step(f, t, q, h):
 
 
 def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, k0=None):
-    """Yield (t, q, k) at accepted nodes after t0: q a new list of floats, k the
-    field at q that the step evaluated (rk4: its end field, the next k1; rk45:
-    the 7th stage).  f(t, q) maps a float list to a float sequence; k0 = f(t0,
-    q0) is rk4's first k1 if given, and rk45 calls f only in its attempts.
-    Raises DivergenceError when the state norm explodes, or the adaptive step
-    collapses or meets a NaN error estimate.
-    """
+    """Yield (t, q, k) at accepted nodes after t0: q a new list of floats, k the field at q
+    that the step evaluated (rk4: its end field, the next k1; rk45: the 7th stage).  f(q) maps
+    a float list to a float sequence; k0 = f(q0) is rk4's first k1 if given, and rk45 calls f
+    only in its attempts.  Raises DivergenceError when the state norm explodes, or the
+    adaptive step collapses or meets a NaN error estimate."""
     guard = DIVERGENCE_FACTOR * max(1.0, math.hypot(*q0))
     t, q = t0, [float(v) for v in q0]
     if cfg.method == "rk4":
         n_steps = _rk4_steps(cfg.t_end - t0, cfg.step)
         h = (cfg.t_end - t0) / n_steps
-        k = f(t0, q) if k0 is None else k0
+        k = f(q) if k0 is None else k0
         for i in range(1, n_steps + 1):
-            q, k = _rk4_step(f, t, q, h, k)
+            q, k = _rk4_step(f, q, h, k)
             t = t0 + i * h
             if not math.hypot(*q) <= guard:  # NaN included
                 raise DivergenceError(f"state norm exceeded guard at t={t:.6g}")
@@ -269,7 +273,7 @@ def _step_stream(f, q0, cfg: IntegratorConfig, t0: float = 0.0, k0=None):
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     while t < cfg.t_end:
         h = min(h, cfg.t_end - t)
-        q_new, err_vec, k = _dp45_step(f, t, q, h)
+        q_new, err_vec, k = _dp45_step(f, q, h)
         sq = 0.0
         for e, a, b in zip(err_vec, q, q_new):
             r = e / (atol + rtol * max(abs(a), abs(b)))
@@ -317,14 +321,11 @@ def _store(run, stream, inside=None, k=None):
 
 
 def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate q' = field_fn(q) from q0 over [0, t_end].
-
-    ``field_fn`` takes the state vector only (autonomous closed loops).
-    """
+    """Integrate the autonomous q' = field_fn(q), on arrays, from q0 over [0, t_end]."""
     q0 = as_state(q0)
     # the steppers carry lists of floats; field_fn takes and returns arrays
-    f = lambda t, q: np.asarray(field_fn(np.array(q, float)), float).tolist()
-    k0 = f(0.0, q0)
+    f = lambda q: np.asarray(field_fn(np.array(q, float)), float).tolist()
+    k0 = f(q0)
     run = [0.0], [q0], [_rate(k0)]
     _store(run, _step_stream(f, q0, cfg, k0=k0))
     return Trajectory.from_samples(*run)
@@ -364,13 +365,11 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     them the position step is linear, X_{n+1} = M_n X_n.  The 2 x 2 matrices
     are built with numpy, RK4_CHUNK steps at a time, and applied in one
     sequential float pass.  T = 30 at step 1e-3 takes about 6 ms on a 2-vCPU
-    AMD EPYC VM; ``rk45`` runs the generic path (1.8 ms from (1, 0, 0.5) to T = 30).
+    AMD EPYC VM; ``rk45`` runs the generic path (1.7 ms from (1, 0, 0.5) to T = 30).
     """
+    q0 = _unicycle_start(q0)
     if cfg.method != "rk4":
         return integrate(lambda q: unicycle_field(q, gains), q0, cfg)
-    q0 = as_state(q0)
-    if q0.shape != (3,):
-        raise ValueError("unicycle state must have 3 entries")
     rp, rt = gains.rho_pos, gains.rho_theta
     n_steps = _rk4_steps(cfg.t_end, cfg.step)
     h = cfg.t_end / n_steps
@@ -445,21 +444,20 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
     that enters the radius, so neither the switch time nor the switch state
     inherits the step size.  The switch node's energy integrand is the pre-switch one.
     """
+    q0 = _unicycle_start(q0)
     if not gains.switch_enabled:
         raise ValueError("switching requires switch_enabled")
     if not (gains.rho_theta > 0.0 and gains.rho_theta_after_switch < 0.0):
         raise ValueError("expect rho_theta > 0 before and < 0 after the switch")
     if not gains.rho_pos < 0.0:
         raise ValueError("rho_pos must be negative")
-    q0 = as_state(q0)
     eps = gains.switch_radius
 
-    pre = GainConfig(gains.rho_pos, gains.rho_theta)
     post = GainConfig(gains.rho_pos, gains.rho_theta_after_switch)
-    f_pre = lambda t, q: unicycle_field(q, pre)
-    f_post = lambda t, q: unicycle_field(q, post)
+    f_pre = lambda q: unicycle_field(q, gains)  # which reads only rho_pos and rho_theta
+    f_post = lambda q: unicycle_field(q, post)
 
-    k0 = f_pre(0.0, q0)
+    k0 = f_pre(q0)
     run = [0.0], [q0], [_rate(k0)]
     inside = lambda q: math.hypot(q[0], q[1]) <= eps
     switch_time, q_switch = 0.0, q0
@@ -470,7 +468,7 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
                                      Trajectory.from_samples(*run))
         switch_time, q_switch = _switch_crossing(*crossing, inside)
         if switch_time > run[0][-1]:  # past the last stored node
-            _store(run, [(switch_time, q_switch, f_pre(switch_time, q_switch))])
+            _store(run, [(switch_time, q_switch, f_pre(q_switch))])
     if switch_time < cfg.t_end:
         _store(run, _step_stream(f_post, q_switch, cfg, switch_time))
     return SwitchResult(Trajectory.from_samples(*run), switch_time)
@@ -516,7 +514,7 @@ def propagate_fast_attitude(q0, rho_pos: float, rho_theta: float, t_end: float):
     t_end, rows (x_c, y_c, theta) as in Trajectory.states: theta is the law
     the steps use, and states[0] is q0.
     """
-    q0 = as_state(q0)
+    q0 = _unicycle_start(q0)
     theta0 = q0[2]
     if not rho_theta > 0.0:
         raise ValueError("this propagator is for growing attitude (rho_theta > 0)")

@@ -354,7 +354,8 @@ def test_rho_positive_horizon_beyond_range_is_invalid(capsys, monkeypatch):
     # no transition product may be built
     monkeypatch.setattr(simulate, "_rotation_chunk_propagator", never)
     code, out, err = run(
-        capsys, "analyze", "--what", "rho-positive", "--q0", "1,0,0.5", "--rho-theta", "1"
+        capsys, "analyze", "--what", "rho-positive", "--q0", "1,0,0.5", "--rho-theta", "1",
+        "--t-end", "30",
     )
     assert code == EXIT_INVALID and out == ""
     t_max = math.log(1e8 / 0.5)
@@ -409,6 +410,16 @@ def test_rho_positive_default_gain_spins(capsys):
     code, out, _ = run(capsys, "analyze", "--what", "asymptotics", "--q0", "1,0,1")
     assert code == EXIT_OK and out == run(capsys, "analyze", "--what", "asymptotics",
                                           "--q0", "1,0,1", "--rho-theta", "-1")[1]
+
+
+@pytest.mark.parametrize("what, t_end", [("rho-positive", "10"), ("stability", "30")])
+def test_analyze_default_horizon(capsys, what, t_end):
+    # --t-end defaults to 10 for rho-positive, where |theta0| e^T stays below 1e8
+    # up to |theta0| of about 4.5e3, and to 30 for the other analyses
+    argv = ["analyze", "--what", what, "--q0", "1,0,0.5"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert out == run(capsys, *argv, "--t-end", t_end)[1]
 
 
 def test_stability_too_short_is_invalid(capsys):
@@ -902,7 +913,8 @@ def test_reused_parser_keeps_no_flags_between_calls(tmp_path, capsys):
 
 
 def test_each_subcommand_keeps_its_t_end_default():
-    defaults = {"analyze": 30.0, "switch": 25.0, "simulate": 10.0, "compare": 10.0,
+    # analyze fills a missing --t-end from --what (test_analyze_default_horizon)
+    defaults = {"analyze": None, "switch": 25.0, "simulate": 10.0, "compare": 10.0,
                 "closed-form": 10.0}
     extra = {"analyze": ["--what", "stability"]}
     for command, t_end in defaults.items():

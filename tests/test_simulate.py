@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import driftless
 from driftless import simulate
+from driftless.analysis import rho_positive_study
 from driftless.core import closed_loop_field
 from driftless.errors import DivergenceError, RangeError, SwitchTimeoutError
 from driftless.simulate import (
@@ -19,7 +20,6 @@ from driftless.simulate import (
     _DP_A,
     _DP_B4,
     _DP_B5,
-    _DP_C,
     GainConfig,
     IntegratorConfig,
     Trajectory,
@@ -118,9 +118,9 @@ class TestIntegrate:
         # (2 measured); another 4th-order method would miss by about h^5 = 3e-7
         g = GainConfig(*gains)
         traj = integrate_unicycle(q0, g, IntegratorConfig(step=0.05, t_end=5.0))
-        f = lambda t, q: unicycle_field(q, g)
-        for t, q, q_next in zip(traj.times, traj.states[:-1].tolist(), traj.states[1:]):
-            step = np.array(_rk4_step(f, t, q, 0.05, f(t, q))[0])
+        f = lambda q: unicycle_field(q, g)
+        for q, q_next in zip(traj.states[:-1].tolist(), traj.states[1:]):
+            step = np.array(_rk4_step(f, q, 0.05, f(q))[0])
             assert np.max(np.abs(q_next - step)) <= 4 * np.spacing(max(map(abs, q)))
 
     @pytest.mark.parametrize("gains, t_stop", [((1.0, 1.0), 15.17), ((2.0, -1.0), 6.95)])
@@ -210,14 +210,14 @@ class TestIntegrate:
         assert np.all(np.diff(traj.energy) >= 0.0)
 
 
-def _dp45_reference(f, t, q, h):
+def _dp45_reference(f, q, h):
     """The array form of one Dormand-Prince attempt, kept as the reference."""
     ks = []
     for i in range(7):
         qi = q.copy()
         for aij, kj in zip(_DP_A[i], ks):
             qi += h * aij * kj
-        ks.append(f(t + _DP_C[i] * h, qi))
+        ks.append(f(qi))
     q5 = q + h * sum(b * k for b, k in zip(_DP_B5, ks))
     q4 = q + h * sum(b * k for b, k in zip(_DP_B4, ks))
     return q5, q5 - q4
@@ -254,14 +254,14 @@ class TestDP45Step:
     finite = st.floats(-10.0, 10.0)
     steps = st.floats(1e-6, 1.0)
 
-    @given(data=st.data(), n=st.sampled_from([1, 3, 5]), t=finite, h=steps)
-    def test_linear_fields_match_array_form(self, data, n, t, h):
+    @given(data=st.data(), n=st.sampled_from([1, 3, 5]), h=steps)
+    def test_linear_fields_match_array_form(self, data, n, h):
         q = np.array(data.draw(st.lists(self.finite, min_size=n, max_size=n)))
         A = np.array(data.draw(st.lists(self.finite, min_size=n * n, max_size=n * n)))
         A = A.reshape(n, n)
-        f = lambda t, y: A @ y  # noqa: E731
-        f_floats = lambda t, y: f(t, np.array(y)).tolist()  # noqa: E731
-        got, ref = _dp45_step(f_floats, t, q.tolist(), h)[:2], _dp45_reference(f, t, q, h)
+        f = lambda y: A @ y  # noqa: E731
+        f_floats = lambda y: f(np.array(y)).tolist()  # noqa: E731
+        got, ref = _dp45_step(f_floats, q.tolist(), h)[:2], _dp45_reference(f, q, h)
         assert all(type(v) is float for part in got for v in part)
         assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
 
@@ -273,15 +273,11 @@ class TestDP45Step:
     )
     def test_unicycle_field_matches_array_form(self, q, rho_pos, rho_theta, h):
         gains = GainConfig(rho_pos, rho_theta)
-        f = lambda t, y: unicycle_field(y, gains)  # noqa: E731
-        f_array = lambda t, y: np.array(f(t, y))  # noqa: E731
-        got, ref = _dp45_step(f, 0.0, list(q), h)[:2], _dp45_reference(f_array, 0.0, np.array(q), h)
+        f = lambda y: unicycle_field(y, gains)  # noqa: E731
+        f_array = lambda y: np.array(f(y))  # noqa: E731
+        got, ref = _dp45_step(f, list(q), h)[:2], _dp45_reference(f_array, np.array(q), h)
         assert all(type(v) is float for part in got for v in part)
         assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
-
-    def test_tableau_rows_sum_to_the_nodes(self):
-        for c, row in zip(_DP_C, _DP_A):
-            assert abs(math.fsum(row) - c) <= 1e-15
 
     def test_weights_meet_the_order_conditions(self):
         # b . Phi(t) = 1 / gamma(t) for every rooted tree t up to the order
@@ -303,14 +299,14 @@ class TestDP45Step:
         assert _DP_A[6] + (0.0,) == _DP_B5
 
     def test_orders_of_solution_and_estimate(self):
-        # y' = -2 t y^2, y = 1 / (1 + t^2): a fifth-order step has local
+        # y' = -y^2, y = 1 / (1 + t): a fifth-order step has local
         # error O(h^6) and its embedded estimate is O(h^5)
-        f = lambda t, y: [-2.0 * t * y[0] * y[0]]  # noqa: E731
+        f = lambda y: [-y[0] * y[0]]  # noqa: E731
         t0 = 0.5
         local, estimate = [], []
-        for h in (0.1, 0.05):
-            q5, err, _ = _dp45_step(f, t0, [1.0 / (1.0 + t0 * t0)], h)
-            local.append(abs(q5[0] - 1.0 / (1.0 + (t0 + h) ** 2)))
+        for h in (0.05, 0.025):
+            q5, err, _ = _dp45_step(f, [1.0 / (1.0 + t0)], h)
+            local.append(abs(q5[0] - 1.0 / (1.0 + t0 + h)))
             estimate.append(abs(err[0]))
         assert 48.0 < local[0] / local[1] < 96.0
         assert 24.0 < estimate[0] / estimate[1] < 48.0
@@ -685,6 +681,26 @@ def test_gain_config_refuses_non_finite_gains(gains):
 def test_fast_attitude_refuses_bad_horizon(t_end):
     with pytest.raises(ValueError, match="horizon must be positive and finite"):
         propagate_fast_attitude([1.0, 0.0, 0.5], -1.0, 1.0, t_end)
+
+
+def _stepped(*args, **kwargs):
+    raise AssertionError("a run stepped from a refused start")
+
+
+@pytest.mark.parametrize("q0", [(1.0, 0.5), (1.0, 0.5, 0.3, 0.0)], ids=["2", "4"])
+@pytest.mark.parametrize("run", [
+    lambda q0: integrate_unicycle(q0, EQUAL_GAINS, IntegratorConfig(t_end=1.0)),
+    lambda q0: integrate_unicycle(q0, EQUAL_GAINS, IntegratorConfig(method="rk45", t_end=1.0)),
+    lambda q0: run_switching(q0, TestSwitching.GAINS, TestSwitching.CFG),
+    lambda q0: propagate_fast_attitude(q0, -1.0, 1.0, 5.0),
+    lambda q0: rho_positive_study(q0, -1.0, 1.0, 5.0),
+], ids=["rk4", "rk45", "switch", "fast-attitude", "rho-positive"])
+def test_unicycle_runs_refuse_a_start_without_3_entries(monkeypatch, run, q0):
+    # every stepped path begins with a field or a transition coefficient
+    monkeypatch.setattr(simulate, "unicycle_field", _stepped)
+    monkeypatch.setattr(simulate, "_coeffs", _stepped)
+    with pytest.raises(ValueError, match="unicycle state must have 3 entries"):
+        run(q0)
 
 
 def test_rk4_nodes_beyond_budget_are_refused():
