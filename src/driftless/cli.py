@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, closed-form, fit, compare, analyze, switch (analyze's
---rho-theta and --t-end default to 1 and 10 for --what rho-positive, else -1 and 30).
+--rho-theta and --t-end default to 1 and 10 / max(rho_theta, 1) for --what
+rho-positive, else -1 and 30).
 Outputs use the fixed CSV schema (t, x_c, y_c, theta, energy) or a JSON
 mirror with metadata.  Angles are radians.  Exit codes:
 
@@ -196,8 +197,9 @@ def cmd_compare(args, q0, path) -> int:
 def cmd_analyze(args, q0, path) -> int:
     if args.rho_theta is None:  # rho-positive studies the spinning attitude, rho_theta > 0
         args.rho_theta = 1.0 if args.what == "rho-positive" else -1.0
-    if args.t_end is None:  # |theta0| e^10 stays below MAX_ARG = 1e8 up to |theta0| of 4.5e3
-        args.t_end = 10.0 if args.what == "rho-positive" else 30.0
+    if args.t_end is None:  # rho-positive: e^10 attitude growth (|theta0| e^10 < MAX_ARG = 1e8
+        # up to |theta0| of 4.5e3), but no more than T = 10, as the steps grow like |rho_pos| T
+        args.t_end = 10.0 / max(args.rho_theta, 1.0) if args.what == "rho-positive" else 30.0
     # fitted for rho = -1; every equal negative pair traces the same path in theta
     if args.what in ("asymptotics", "brockett") and not args.rho_pos == args.rho_theta < 0.0:
         raise ConfigError(f"--what {args.what} needs equal negative gains, got "
@@ -338,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["stability", "asymptotics", "rho-positive", "brockett"],
         required=True,
     )
-    _add_common(p, t_end=None, t_end_help="default 10 for rho-positive, else 30")
+    _add_common(p, t_end=None,
+                t_end_help="default 10 / max(rho_theta, 1) for rho-positive, else 30")
     p.add_argument("--rho-pos", type=float, default=-1.0)
     p.add_argument("--rho-theta", type=float, help="default 1 for rho-positive, else -1")
     p.add_argument("--tol", type=float, default=1e-6)

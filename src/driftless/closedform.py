@@ -170,19 +170,3 @@ def degenerate_eval(x0: float, y0: float, t: float) -> np.ndarray:
         return np.column_stack((x, np.full(t.shape, y0)))
     return np.array([x, y0])
 
-
-def ode_residual(sol: ClosedFormSolution, t: float, h: float = 1e-4) -> float:
-    """Finite-difference residual of the decoupled second-order equation.
-
-    Checks |z1'' - 2 rho z1' + rho^2 (1 + theta'^2) z1| with central
-    differences on the closed-form z1; the true residual is zero, so the
-    returned value is pure O(h^2) discretization error.
-    """
-    if t < 2.0 * h:
-        raise ValueError("need t >= 2h for central differences")
-    st = eval_solution(sol, t + np.array((-h, 0.0, h)))
-    zm, z0, zp = st.z1.tolist()
-    d1 = (zp - zm) / (2.0 * h)
-    d2 = (zp - 2.0 * z0 + zm) / (h * h)
-    theta_dot = RHO * st.theta[1].item()  # theta' = RHO theta, at the stencil's centre
-    return abs(d2 - 2.0 * RHO * d1 + RHO * RHO * (1.0 + theta_dot * theta_dot) * z0)

@@ -10,7 +10,7 @@ loop satisfies the identity E(t) = (rho/2)(||q(t)||^2 - ||q(0)||^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class VectorFieldSet:
 
     ``evaluate(q)`` must return the n x k matrix whose columns are the
     fields at q.  Column orthonormality is a hypothesis of the feedback
-    law; it is checked by :func:`validate_fields`, never assumed.
+    law; this class does not check it.
     """
 
     n: int
@@ -47,36 +47,6 @@ class VectorFieldSet:
                 f"field matrix has shape {s.shape}, expected {(self.n, self.k)}"
             )
         return s
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    max_norm_deviation: float  # max over samples and i of | ||S_i|| - 1 |
-    max_orthogonality_deviation: float  # max over samples and i != j of | S_i . S_j |
-
-
-def validate_fields(
-    fields: VectorFieldSet, samples: Sequence, tol: float
-) -> ValidationReport:
-    """Check unit columns and mutual orthogonality of S at sampled states."""
-    if len(samples) == 0:
-        raise ValueError("samples must be non-empty")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    norm_devs, ortho_devs = [], []
-    for q in samples:
-        s = fields.matrix(as_state(q))
-        gram = s.T @ s
-        norm_devs.append(np.max(np.abs(np.sqrt(np.diag(gram)) - 1.0)))
-        ortho_devs.append(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-    # np.max, not max(): a NaN deviation must fail the check
-    max_norm, max_ortho = float(np.max(norm_devs)), float(np.max(ortho_devs))
-    return ValidationReport(
-        passed=max_norm <= tol and max_ortho <= tol,
-        max_norm_deviation=max_norm,
-        max_orthogonality_deviation=max_ortho,
-    )
 
 
 def state_feedback(q, fields: VectorFieldSet, rho: float) -> np.ndarray:

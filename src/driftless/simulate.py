@@ -320,12 +320,11 @@ def _store(run, stream, inside=None, k=None):
     return None
 
 
-def integrate(field_fn: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the autonomous q' = field_fn(q), on arrays, from q0 over [0, t_end]."""
+def integrate(f: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate the autonomous q' = f(q) from q0 over [0, t_end].  f takes a list of
+    Python floats and returns as many floats, as unicycle_field does: no arrays."""
     q0 = as_state(q0)
-    # the steppers carry lists of floats; field_fn takes and returns arrays
-    f = lambda q: np.asarray(field_fn(np.array(q, float)), float).tolist()
-    k0 = f(q0)
+    k0 = f(q0.tolist())
     run = [0.0], [q0], [_rate(k0)]
     _store(run, _step_stream(f, q0, cfg, k0=k0))
     return Trajectory.from_samples(*run)
@@ -365,7 +364,8 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     them the position step is linear, X_{n+1} = M_n X_n.  The 2 x 2 matrices
     are built with numpy, RK4_CHUNK steps at a time, and applied in one
     sequential float pass.  T = 30 at step 1e-3 takes about 6 ms on a 2-vCPU
-    AMD EPYC VM; ``rk45`` runs the generic path (1.7 ms from (1, 0, 0.5) to T = 30).
+    AMD EPYC VM; ``rk45`` runs the generic path on unicycle_field (1.0 ms from
+    (1, 0, 0.5) to T = 30 on the same VM).
     """
     q0 = _unicycle_start(q0)
     if cfg.method != "rk4":

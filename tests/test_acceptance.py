@@ -22,7 +22,6 @@ from driftless.closedform import (
     ClosedFormSolution,
     eval_solution,
     fit_solution,
-    ode_residual,
 )
 from driftless.core import closed_loop_field
 from driftless.simulate import (
@@ -33,6 +32,7 @@ from driftless.simulate import (
     unicycle_field,
     unicycle_field_set,
 )
+from test_closedform import ode_residual
 
 mp.mp.dps = 30
 

@@ -412,11 +412,17 @@ def test_rho_positive_default_gain_spins(capsys):
                                           "--q0", "1,0,1", "--rho-theta", "-1")[1]
 
 
-@pytest.mark.parametrize("what, t_end", [("rho-positive", "10"), ("stability", "30")])
-def test_analyze_default_horizon(capsys, what, t_end):
-    # --t-end defaults to 10 for rho-positive, where |theta0| e^T stays below 1e8
-    # up to |theta0| of about 4.5e3, and to 30 for the other analyses
-    argv = ["analyze", "--what", what, "--q0", "1,0,0.5"]
+@pytest.mark.parametrize("flags, t_end", [
+    (["--what", "rho-positive"], "10"),
+    (["--what", "stability"], "30"),
+    (["--what", "rho-positive", "--rho-theta", "3"], repr(10 / 3)),
+    (["--what", "rho-positive", "--rho-theta", "0.5"], "10"),
+], ids=["rho-positive-10", "stability-30", "rho-positive-rho-theta-3",
+        "rho-positive-rho-theta-0.5"])
+def test_analyze_default_horizon(capsys, flags, t_end):
+    # --t-end defaults to 10 / max(rho_theta, 1) for rho-positive, where |theta0| e^10
+    # stays below 1e8 up to |theta0| of about 4.5e3, and to 30 for the other analyses
+    argv = ["analyze", *flags, "--q0", "1,0,0.5"]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_OK, err
     assert out == run(capsys, *argv, "--t-end", t_end)[1]

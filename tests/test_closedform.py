@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftless.closedform import (
+    RHO,
     ClosedFormSolution,
     basis_matrix,
     degenerate_eval,
@@ -14,7 +15,6 @@ from driftless.closedform import (
     fit_constants,
     fit_solution,
     from_z_frame,
-    ode_residual,
     to_z_frame,
 )
 from driftless.errors import DegenerateAttitudeError, DomainError
@@ -191,6 +191,24 @@ class TestDegenerateEval:
         assert np.allclose(
             degenerate_eval(1.0, 2.0, 1.0), traj.final_state[:2], atol=1e-8
         )
+
+
+def ode_residual(sol: ClosedFormSolution, t: float, h: float = 1e-4) -> float:
+    """Finite-difference residual of the decoupled second-order equation
+    (acceptance criterion 2 reads it too).
+
+    Checks |z1'' - 2 rho z1' + rho^2 (1 + theta'^2) z1| with central
+    differences on the closed-form z1; the true residual is zero, so the
+    returned value is pure O(h^2) discretization error.
+    """
+    if t < 2.0 * h:
+        raise ValueError("need t >= 2h for central differences")
+    stencil = eval_solution(sol, t + np.array((-h, 0.0, h)))
+    zm, z0, zp = stencil.z1.tolist()
+    d1 = (zp - zm) / (2.0 * h)
+    d2 = (zp - 2.0 * z0 + zm) / (h * h)
+    theta_dot = RHO * stencil.theta[1].item()  # theta' = RHO theta, at the stencil's centre
+    return abs(d2 - 2.0 * RHO * d1 + RHO * RHO * (1.0 + theta_dot * theta_dot) * z0)
 
 
 class TestOdeResidual:

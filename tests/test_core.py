@@ -1,19 +1,43 @@
 """Generic driftless core: field validation, feedback law, energy."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from driftless.core import (
-    VectorFieldSet,
-    closed_loop_field,
-    state_feedback,
-    validate_fields,
-)
+from driftless.core import VectorFieldSet, as_state, closed_loop_field, state_feedback
 from driftless.errors import DimensionMismatchError
 from driftless.simulate import IntegratorConfig, integrate, unicycle_field_set
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    passed: bool
+    max_norm_deviation: float  # max over samples and i of | ||S_i|| - 1 |
+    max_orthogonality_deviation: float  # max over samples and i != j of | S_i . S_j |
+
+
+def validate_fields(fields: VectorFieldSet, samples, tol: float) -> ValidationReport:
+    """Check unit columns and mutual orthogonality of S at sampled states."""
+    if len(samples) == 0:
+        raise ValueError("samples must be non-empty")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    norm_devs, ortho_devs = [], []
+    for q in samples:
+        s = fields.matrix(as_state(q))
+        gram = s.T @ s
+        norm_devs.append(np.max(np.abs(np.sqrt(np.diag(gram)) - 1.0)))
+        ortho_devs.append(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+    # np.max, not max(): a NaN deviation must fail the check
+    max_norm, max_ortho = float(np.max(norm_devs)), float(np.max(ortho_devs))
+    return ValidationReport(
+        passed=max_norm <= tol and max_ortho <= tol,
+        max_norm_deviation=max_norm,
+        max_orthogonality_deviation=max_ortho,
+    )
 
 
 def test_validate_unicycle_fields_pass():

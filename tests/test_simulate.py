@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 import driftless
 from driftless import simulate
@@ -34,6 +35,11 @@ from driftless.simulate import (
 )
 
 EQUAL_GAINS = GainConfig(-1.0, -1.0)
+
+
+def on_arrays(field):
+    """A field on numpy arrays, as integrate's float-list field: q in and q' out as lists."""
+    return lambda q: np.asarray(field(np.array(q, float)), float).tolist()
 
 
 class TestUnicycleField:
@@ -71,19 +77,31 @@ class TestUnicycleField:
 
 class TestIntegrate:
     def test_zero_field_constant(self):
-        traj = integrate(lambda q: np.zeros(3), [1.0, 2.0, 3.0], IntegratorConfig(t_end=2.0, step=0.1))
+        traj = integrate(on_arrays(lambda q: np.zeros(3)), [1.0, 2.0, 3.0],
+                         IntegratorConfig(t_end=2.0, step=0.1))
         assert np.allclose(traj.states, [1.0, 2.0, 3.0])
         assert np.all(traj.energy == 0.0)
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_field_is_called_on_float_lists(self, method):
+        seen = []
+
+        def field(q):
+            seen.append(q)
+            return [-v for v in q]
+
+        integrate(field, np.array([1.0, 2.0]), IntegratorConfig(method, step=0.01, t_end=0.1))
+        assert all(type(q) is list and all(type(v) is float for v in q) for q in seen)
+
     def test_exponential_decay_exact(self):
-        traj = integrate(lambda q: -q, np.array([1.0]), IntegratorConfig(step=1e-3, t_end=1.0))
+        traj = integrate(on_arrays(lambda q: -q), [1.0], IntegratorConfig(step=1e-3, t_end=1.0))
         assert traj.final_state[0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_rk4_order_four(self):
         # halving the step should shrink the end-state error ~16x
         errs = []
         for step in (2e-2, 1e-2):
-            traj = integrate(lambda q: -q, np.array([1.0]), IntegratorConfig(step=step, t_end=1.0))
+            traj = integrate(on_arrays(lambda q: -q), [1.0], IntegratorConfig(step=step, t_end=1.0))
             errs.append(abs(traj.final_state[0] - math.exp(-1.0)))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
@@ -153,7 +171,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("n", [1, 5])
     def test_rk45_other_dimensions(self, n):
         q0 = np.linspace(1.0, -2.0, n)
-        traj = integrate(lambda q: -q, q0, IntegratorConfig(method="rk45", t_end=3.0))
+        traj = integrate(on_arrays(lambda q: -q), q0, IntegratorConfig(method="rk45", t_end=3.0))
         assert traj.states.shape[1] == n
         assert np.allclose(traj.final_state, q0 * math.exp(-3.0), rtol=1e-8, atol=0.0)
 
@@ -169,14 +187,14 @@ class TestIntegrate:
             return -q if q[0] >= 0.5 else np.array([np.nan])
 
         with pytest.raises(DivergenceError, match="NaN") as excinfo:
-            integrate(field, [1.0], IntegratorConfig(method="rk45", t_end=5.0))
+            integrate(on_arrays(field), [1.0], IntegratorConfig(method="rk45", t_end=5.0))
         traj = excinfo.value.trajectory
         assert 0.5 < traj.times[-1] <= math.log(2.0) + 1e-6
 
     def test_rk45_divergence_guard(self):
         # q' = q^2 from 1 blows up at t = 1; the guard (1e6 |q0|) stops it just before
         with pytest.raises(DivergenceError, match="guard at t=0.999999$") as excinfo:
-            integrate(lambda q: q * q, [1.0], IntegratorConfig(method="rk45", t_end=2.0))
+            integrate(on_arrays(lambda q: q * q), [1.0], IntegratorConfig(method="rk45", t_end=2.0))
         traj = excinfo.value.trajectory
         assert 0.99 < traj.times[-1] < 1.0
         assert 1.0 < traj.final_state[0] <= 1e6
@@ -185,7 +203,7 @@ class TestIntegrate:
         # the field flips sign at q = 0.5: no step across it is ever accepted
         field = lambda q: np.where(q < 0.5, 1e4, -1e4)
         with pytest.raises(DivergenceError, match="collapsed below floor") as excinfo:
-            integrate(field, [0.0], IntegratorConfig(method="rk45", t_end=1.0))
+            integrate(on_arrays(field), [0.0], IntegratorConfig(method="rk45", t_end=1.0))
         traj = excinfo.value.trajectory
         # the last accepted node lies just below the jump
         assert 0.0 < traj.times[-1] < 1e-4
@@ -193,7 +211,7 @@ class TestIntegrate:
 
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError) as excinfo:
-            integrate(lambda q: q, np.array([1.0]), IntegratorConfig(step=1e-2, t_end=50.0))
+            integrate(on_arrays(lambda q: q), np.array([1.0]), IntegratorConfig(step=1e-2, t_end=50.0))
         assert excinfo.value.trajectory is not None
         assert len(excinfo.value.trajectory.times) > 1
 
@@ -202,7 +220,7 @@ class TestIntegrate:
         # there instead of carrying NaN to the horizon
         field = lambda q: np.full_like(q, np.nan) if q[0] > 1.2 else q
         with pytest.raises(DivergenceError, match="guard at t=0.2$") as excinfo:
-            integrate(field, np.array([1.0]), IntegratorConfig(step=0.1, t_end=1.0))
+            integrate(on_arrays(field), np.array([1.0]), IntegratorConfig(step=0.1, t_end=1.0))
         assert excinfo.value.trajectory.times.tolist() == [0.0, 0.1]
 
     def test_energy_column_monotone(self):
@@ -484,6 +502,35 @@ class TestFastAttitudePropagator:
         assert ts[-1] == t_end
         assert np.allclose(Xs[-1], ref.final_state[:2], atol=1e-6)
 
+    @staticmethod
+    def order_zero_position(q0, theta):
+        # at gains (-1, +1), Z = R(theta)' X obeys dz1/dtheta = z2 - z1 / theta and
+        # dz2/dtheta = -z1, so with s = |theta|: z2 = c J0(s) + d Y0(s) and
+        # z1 = sign(theta) (c J1(s) + d Y1(s)), c and d fitted at theta0
+        x0, y0, th0 = q0
+        sign, s0 = math.copysign(1.0, th0), abs(th0)
+        z0 = (math.cos(th0) * x0 + math.sin(th0) * y0, -math.sin(th0) * x0 + math.cos(th0) * y0)
+        basis = [[sign * special.j1(s0), sign * special.y1(s0)], [special.j0(s0), special.y0(s0)]]
+        c, d = np.linalg.solve(basis, z0)
+        s = np.abs(theta)
+        z1 = sign * (c * special.j1(s) + d * special.y1(s))
+        z2 = c * special.j0(s) + d * special.y0(s)
+        cos, sin = np.cos(theta), np.sin(theta)
+        return np.column_stack((cos * z1 - sin * z2, sin * z1 + cos * z2))
+
+    @pytest.mark.parametrize("q0, t_end, bound", [
+        ((10.0, -3.0, 2.0), 8.0, 5e-8),
+        ((1.0, 0.0, 0.5), 10.0, 3e-9),
+        ((1.0, 1.0, 0.5), 10.0, 3e-9),
+    ], ids=["far", "axis", "diagonal"])
+    def test_matches_order_zero_bessel_form(self, q0, t_end, bound):
+        # at FAST_STEP_S = 0.2 the errors are 1.8e-8, 1.1e-9 and 1.0e-9; a
+        # turn of 0.4 rad per step gives 1.2e-7, 7.0e-9 and 4.3e-9
+        ts, states = propagate_fast_attitude(q0, -1.0, 1.0, t_end)
+        assert ts[-1] == t_end
+        err = np.max(np.abs(states[:, :2] - self.order_zero_position(q0, states[:, 2])))
+        assert err <= bound
+
     def test_zero_position_invariant(self):
         Xs = propagate_fast_attitude([0.0, 0.0, 0.5], -1.0, 1.0, 10.0)[1][:, :2]
         assert np.all(Xs == 0.0)
@@ -607,7 +654,7 @@ class TestTrajectoryIO:
     @pytest.mark.parametrize("writer", ["to_csv", "to_json"])
     def test_exports_refuse_a_run_without_3_states(self, tmp_path, writer):
         # the (t, x_c, y_c, theta, energy) columns would mislabel shorter rows
-        traj = integrate(lambda q: -q, [1.0], IntegratorConfig(t_end=0.002, step=0.001))
+        traj = integrate(on_arrays(lambda q: -q), [1.0], IntegratorConfig(t_end=0.002, step=0.001))
         with pytest.raises(ValueError, match="3-state"):
             getattr(traj, writer)(str(tmp_path / "out"))
         assert os.listdir(tmp_path) == []
