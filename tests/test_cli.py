@@ -388,12 +388,14 @@ def test_rho_positive_bad_horizon_is_invalid(capsys, monkeypatch, t_end):
 
 @pytest.mark.parametrize(
     "q0, rho_theta, t_end, code, theta_final",
-    [("1,0,0", "10", "80", EXIT_FAILED, 0.0), ("1,0,5e-324", "1", "750", EXIT_OK, 259.8041501776537)],
-    ids=["zero-attitude", "subnormal-attitude"],
+    [("1,0,0", "10", "80", EXIT_FAILED, 0.0), ("1,0,5e-324", "1", "750", EXIT_OK, 259.8041501776537),
+     ("1,0,0.5", "1e-300", "10", EXIT_FAILED, 0.5), ("1,0,0.5", "1e-320", "10", EXIT_FAILED, 0.5)],
+    ids=["zero-attitude", "subnormal-attitude", "tiny-gain", "subnormal-gain"],
 )
 def test_rho_positive_attitude_past_exp_overflow(capsys, q0, rho_theta, t_end, code, theta_final):
     # rho_theta T > 709.78 overflows exp(rho_theta T), yet |theta0| exp(rho_theta T)
-    # stays below 1e8; theta0 = 0 stays 0, so the attitude does not grow
+    # stays below 1e8; theta0 = 0 stays 0, so the attitude does not grow, nor does it
+    # at a tiny rho_theta; a subnormal one overflows the step clock's s_c to inf
     got, out, err = run(capsys, "analyze", "--what", "rho-positive", "--q0", q0,
                         "--rho-theta", rho_theta, "--t-end", t_end)
     assert got == code, err

@@ -17,6 +17,7 @@ from driftless.analysis import rho_positive_study
 from driftless.core import closed_loop_field
 from driftless.errors import DivergenceError, RangeError, SwitchTimeoutError
 from driftless.simulate import (
+    FAST_CHUNK,
     MAX_NODES,
     _DP_A,
     _DP_B4,
@@ -24,8 +25,11 @@ from driftless.simulate import (
     GainConfig,
     IntegratorConfig,
     Trajectory,
+    _coeffs,
     _dp45_step,
+    _ordered_product,
     _rk4_step,
+    _rk4_transitions,
     integrate,
     integrate_unicycle,
     propagate_fast_attitude,
@@ -530,6 +534,33 @@ class TestFastAttitudePropagator:
         assert ts[-1] == t_end
         err = np.max(np.abs(states[:, :2] - self.order_zero_position(q0, states[:, 2])))
         assert err <= bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, FAST_CHUNK, FAST_CHUNK + 1])
+    def test_ordered_product_matches_sequential_fold(self, n):
+        # the propagator's transitions at the paper's gains, steps of 1e-3 from theta = 0.5;
+        # the fold's own rounding reaches 1.1e-14 at FAST_CHUNK matrices, the pairwise
+        # product is within 3.7e-15 of a long-double fold
+        t = 1e-3 * np.arange(n + 1)
+        h = np.diff(t)
+        nodes = _coeffs(0.5 * np.exp(t), -1.0)
+        mid = _coeffs(0.5 * np.exp(t[:-1] + 0.5 * h), -1.0)
+        m = _rk4_transitions(h, tuple(k[:-1] for k in nodes), mid, mid,
+                             tuple(k[1:] for k in nodes))
+        want = np.eye(2)
+        for mat in np.column_stack(m).reshape(n, 2, 2):
+            want = mat @ want
+        got = _ordered_product(m)
+        assert got.shape == (2, 2)
+        assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want))
+
+    def test_chunk_seams(self, monkeypatch):
+        # neighbouring chunks share their end node u; 7 steps a chunk puts about
+        # 1,200 seams in the run and an odd length in every product
+        ts, want = propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 8.0)
+        monkeypatch.setattr(simulate, "FAST_CHUNK", 7)
+        got_ts, got = propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 8.0)
+        assert np.array_equal(got_ts, ts) and np.array_equal(got[:, 2], want[:, 2])
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_zero_position_invariant(self):
         Xs = propagate_fast_attitude([0.0, 0.0, 0.5], -1.0, 1.0, 10.0)[1][:, :2]
