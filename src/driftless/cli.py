@@ -4,7 +4,9 @@ Subcommands: simulate, closed-form, fit, compare, analyze, switch (analyze's
 --rho-theta and --t-end default to 1 and 10 / max(rho_theta, 1) for --what
 rho-positive, else -1 and 30).
 Outputs use the fixed CSV schema (t, x_c, y_c, theta, energy) or a JSON
-mirror with metadata.  Angles are radians.  Exit codes:
+mirror with metadata.  Angles are radians.  A value may start with a minus
+sign: --rho-pos -1e-3 and --q0 -1,0,1 read as --rho-pos=-1e-3 and --q0=-1,0,1.
+Exit codes:
 
     0  success
     2  invalid configuration (argparse errors also exit 2): a number that
@@ -28,6 +30,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -57,6 +60,7 @@ ERROR_EXITS = (
 
 OUT_DIR_ENV = "DRIFTLESS_OUT_DIR"
 POSITIVE = {"t_end", "step", "abs_tol", "rel_tol", "sample_dt", "tol", "switch_radius"}
+NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class ConfigError(ValueError):
@@ -277,6 +281,19 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return argv[:cmd] + extra + argv[cmd:]  # the subcommand is the first non-flag word
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write a word that starts like a negative number (-1e-3, -.5, -inf, -1,0,1) as
+    the value of the flag before it, --flag=-1e-3: argparse reads such a word as an
+    option unless it looks like -1 or -0.5."""
+    out = []
+    for word in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and NEGATIVE_VALUE.match(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _add_common(p, t_end=10.0, t_end_help=None):
     p.add_argument("--q0", required=True, help="initial state x_c,y_c,theta (radians)")
     p.add_argument("--t-end", type=float, default=t_end, help=t_end_help)
@@ -363,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = path = None
     try:
-        argv = _apply_config_file(argv)
+        argv = _join_negative_values(_apply_config_file(argv))
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits itself; keep main() returning

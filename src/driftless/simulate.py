@@ -7,7 +7,8 @@ a propagator for the regime where the attitude is destabilized and the closed
 loop rotates exponentially fast.  The closed loop is written once, as the
 float function unicycle_field.  The unicycle's RK4 and the propagator share one
 builder of RK4 transition matrices (the position is linear given the
-attitude).  The other steppers take an autonomous field f(q), carry lists of Python
+attitude); the propagator's long runs compute them on two threads, with the
+same result.  The other steppers take an autonomous field f(q), carry lists of Python
 floats and hand on the field each step evaluated at its node (RK4's end field, DP45's
 7th stage): it is the node's energy integrand, and the switch's Hermite slopes; _store
 keeps every stepped run's nodes.  Costs on a 2-vCPU AMD EPYC VM: one RK45 attempt
@@ -16,6 +17,7 @@ keeps every stepped run's nodes.  Costs on a 2-vCPU AMD EPYC VM: one RK45 attemp
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -44,6 +46,14 @@ FAST_STEP_S = 0.2
 FAST_STEP_POS = 1e-3
 FAST_SAMPLES = 8
 FAST_CHUNK = 16_384
+# from FAST_POOL_STEPS steps, FAST_WORKERS threads compute the chunk products
+# (numpy releases the GIL in its loops), two chunks' temporaries live (2 x 3.7 MB):
+# on the same VM T = 15 took 0.27-0.31 s against 0.46-0.48 s on one thread.  Below,
+# the median gain (none under 50,000 steps; T = 5 would lose 0.6 ms) does not pay
+# for a slower tail: at 114,433 steps p90 8.5 ms pooled against 7.5 ms, at 158,150
+# 8.3 against 10.0; pooled horizon-10 studies raised spin-switch's item_s_p50 2.4 %
+FAST_WORKERS = 2
+FAST_POOL_STEPS = 150_000
 # integrate_unicycle: steps per transition-matrix chunk (bounds its temporaries)
 RK4_CHUNK = 4096
 CSV_HEADER = "t,x_c,y_c,theta,energy"
@@ -504,6 +514,33 @@ def _rotation_chunk_propagator(t: np.ndarray, theta: Callable, rho_pos: float) -
         _rk4_transitions(h, tuple(k[:-1] for k in nodes), mid, mid, tuple(k[1:] for k in nodes)))
 
 
+def _map_chunks(product, chunks, n_steps) -> list:
+    """[product(c) for c in chunks]: on FAST_WORKERS threads from FAST_POOL_STEPS steps,
+    where the process may use more than one CPU, else in the calling thread.  Chunks
+    are submitted at most FAST_WORKERS ahead of the one whose result the caller waits
+    for: one queued chunk spares a worker the wait for the caller (T = 15 took 7 %
+    longer without it), and no more than FAST_WORKERS chunks after one that raises
+    can start.  An error or an interrupt cancels the rest; no thread outlives the call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if n_steps < FAST_POOL_STEPS or min(FAST_WORKERS, cpus or 1) < 2:
+        return [product(c) for c in chunks]
+    # imported here: it loads logging, 3.7 ms that a serial run does not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    out, ahead = [], collections.deque()
+    with ThreadPoolExecutor(FAST_WORKERS) as pool:
+        try:
+            for c in chunks:
+                if len(ahead) > FAST_WORKERS:
+                    out.append(ahead.popleft().result())
+                ahead.append(pool.submit(product, c))
+            out.extend(f.result() for f in ahead)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return out
+
+
 def propagate_fast_attitude(q0, rho_pos: float, rho_theta: float, t_end: float):
     """Trajectory from q0 = (x_c, y_c, theta0) when the attitude gain is destabilizing.
 
@@ -515,8 +552,11 @@ def propagate_fast_attitude(q0, rho_pos: float, rho_theta: float, t_end: float):
     step is uniform, h = FAST_STEP_POS / |rho_pos| (at most 1 / rho_theta),
     until |theta| reaches s_c = FAST_STEP_S / expm1(rho_theta h), where the
     two limits meet; beyond s_c each step turns the attitude by FAST_STEP_S.
-    From (1, 0, 0.5) at the paper's gains the run to T = 15 takes 8.2e6
-    steps and 0.45 s on a 2-vCPU AMD EPYC VM (0.65 s in a fresh process).
+    From FAST_POOL_STEPS steps the chunk products run on FAST_WORKERS threads
+    and the calling thread folds them in order: the result does not depend on
+    it.  From (1, 0, 0.5) at the paper's gains the run to T = 15 takes 8.2e6
+    steps and 0.27-0.31 s on a 2-vCPU AMD EPYC VM (0.46-0.48 s on one thread),
+    0.38-0.45 s in a fresh process (0.65-0.67 s).
 
     Returns (times, states) at FAST_SAMPLES + 1 evenly spaced times from 0 to
     t_end, rows (x_c, y_c, theta) as in Trajectory.states: theta is the law
@@ -558,16 +598,27 @@ def propagate_fast_attitude(q0, rho_pos: float, rho_theta: float, t_end: float):
     sign = math.copysign(1.0, theta0)
     theta = lambda t: sign * np.exp(log_s0 + rho_theta * t)
     out_t = np.linspace(0.0, t_end, FAST_SAMPLES + 1)
+    # a chunk (u_a, u_b, n, k0) holds steps k0 to min(k0 + FAST_CHUNK, n) of the n
+    # between neighbouring output times, at clock u_a and u_b: its product depends
+    # on its nodes alone, and the fold into X keeps the chunks' order
+    spans = [(u_a, u_b, max(1, math.ceil(u_b - u_a)))
+             for u_a, u_b in itertools.pairwise(clock(t) for t in out_t)]
+    chunks = [(*span, k0) for span in spans for k0 in range(0, span[2], FAST_CHUNK)]
+
+    def product(chunk):
+        u_a, u_b, n, k0 = chunk
+        u = u_a + (u_b - u_a) / n * np.arange(k0, min(k0 + FAST_CHUNK, n) + 1)
+        t = h * np.minimum(u, u_c) + np.log1p(
+            FAST_STEP_S / s_c * np.maximum(u - u_c, 0.0)) / rho_theta
+        return _rotation_chunk_propagator(t, theta, rho_pos)
+
     X = q0[:2]
     out_X = [X]
-    for u_a, u_b in itertools.pairwise(clock(t) for t in out_t):
-        n = max(1, math.ceil(u_b - u_a))
-        for k0 in range(0, n, FAST_CHUNK):
-            u = u_a + (u_b - u_a) / n * np.arange(k0, min(k0 + FAST_CHUNK, n) + 1)
-            t = h * np.minimum(u, u_c) + np.log1p(
-                FAST_STEP_S / s_c * np.maximum(u - u_c, 0.0)) / rho_theta
-            X = _rotation_chunk_propagator(t, theta, rho_pos) @ X
-        out_X.append(X)
+    products = _map_chunks(product, chunks, sum(span[2] for span in spans))
+    for (_, _, n, k0), P in zip(chunks, products):
+        X = P @ X
+        if k0 + FAST_CHUNK >= n:  # the last chunk before an output time
+            out_X.append(X)
     states = np.column_stack((out_X, theta(out_t)))
     states[0] = q0
     return out_t, states

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, file outputs, determinism, config handling."""
 
+import argparse
 import json
 import math
 import os
@@ -929,3 +930,79 @@ def test_each_subcommand_keeps_its_t_end_default():
         argv = [command, "--q0", "1,0,1", *extra.get(command, [])]
         assert cli.build_parser().parse_args([*argv, "--t-end", "3"]).t_end == 3.0
         assert cli.build_parser().parse_args(argv).t_end == t_end
+
+
+# every numeric flag of every subcommand (--q0 is three numbers)
+NUMERIC_FLAGS = {
+    "simulate": ["--q0", "--t-end", "--step", "--abs-tol", "--rel-tol", "--rho", "--rho-pos",
+                 "--rho-theta"],
+    "closed-form": ["--q0", "--t-end", "--sample-dt"],
+    "fit": ["--q0"],
+    "compare": ["--q0", "--t-end", "--step", "--abs-tol", "--rel-tol", "--sample-dt", "--tol"],
+    "analyze": ["--q0", "--t-end", "--step", "--abs-tol", "--rel-tol", "--rho-pos", "--rho-theta",
+                "--tol"],
+    "switch": ["--q0", "--t-end", "--step", "--abs-tol", "--rel-tol", "--rho-pos", "--rho-theta",
+               "--rho-theta-after-switch", "--switch-radius"],
+}
+
+
+def test_numeric_flag_table_is_complete():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: sorted(a.option_strings[0] for a in sub._actions
+                          if a.type is float or a.dest == "q0")
+             for name, sub in commands.choices.items()}
+    assert found == {name: sorted(flags) for name, flags in NUMERIC_FLAGS.items()}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in NUMERIC_FLAGS.items()
+                                           for f in flags])
+def test_value_with_a_leading_minus_is_not_an_option(capsys, monkeypatch, command, flag):
+    # -1e0 and -1,0,1 do not look like argparse's negative numbers (-1, -0.5); the
+    # flags reach the number checks, which stop the run here
+    seen = []
+
+    def stop(args):
+        seen.append(args)
+        raise cli.ConfigError("checked")
+
+    monkeypatch.setattr(cli, "_check_numbers", stop)
+    value = "-1,0,1" if flag == "--q0" else "-1e0"
+    argv = [command] + (["--q0", "1,0,1"] if flag != "--q0" else [])
+    argv += ["--what", "asymptotics"] if command == "analyze" else []
+    code, _, err = run(capsys, *argv, flag, value)
+    assert code == EXIT_INVALID and err == "error: checked\n"
+    dest = flag[2:].replace("-", "_")
+    assert getattr(seen[0], dest) == (value if flag == "--q0" else -1.0)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", "--q0", "1,0,1", "--rho-pos", "-1e-3", "--rho-theta", "-1", "--t-end", "1"],
+     EXIT_OK, ""),
+    (["simulate", "--q0", "1,0,1", "--rho", "-1e0", "--t-end", "1"], EXIT_OK, ""),
+    (["switch", "--rho-theta-after-switch", "-2e0", "--q0", "-1,0,1"], EXIT_OK, ""),
+    (["fit", "--q0", "-1,0,1"], EXIT_OK, ""),
+    (["closed-form", "--q0", "1,0,1", "--t-end", "-1e0"], EXIT_INVALID,
+     "error: --t-end must be nonnegative and finite, got -1.0"),
+    (["compare", "--q0", "1,0,1", "--step", "-1e-3"], EXIT_INVALID,
+     "error: --step must be positive and finite, got -0.001"),
+    (["analyze", "--what", "asymptotics", "--q0", "1,0,1", "--rho-pos", "-inf"], EXIT_INVALID,
+     "error: --rho-pos must be finite, got -inf"),
+], ids=["rho-pos", "rho", "switch", "fit", "closed-form-t-end", "step", "minus-inf"])
+def test_negative_values_run_or_meet_the_number_checks(tmp_path, capsys, monkeypatch, argv,
+                                                       code, message):
+    monkeypatch.setenv("DRIFTLESS_OUT_DIR", str(tmp_path))
+    got, _, err = run(capsys, *argv)
+    assert got == code, err
+    assert message in err
+
+
+def test_rho_positive_study_exits_promptly_in_a_process():
+    # horizon 12 runs its chunk products on a thread pool, which must not hold up exit
+    path = [str(Path(driftless.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = ["analyze", "--what", "rho-positive", "--q0", "1,0,0.5", "--t-end", "12"]
+    proc = subprocess.run([sys.executable, "-m", "driftless.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["position_decays"]

@@ -4,6 +4,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -561,6 +564,90 @@ class TestFastAttitudePropagator:
         got_ts, got = propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 8.0)
         assert np.array_equal(got_ts, ts) and np.array_equal(got[:, 2], want[:, 2])
         assert np.max(np.abs(got - want)) <= 1e-13
+
+    @staticmethod
+    def spy_chunks(monkeypatch, product=None):
+        """The threads that compute the chunk products, in call order, in a process that
+        may use 2 CPUs; product, if given, replaces _rotation_chunk_propagator."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads, product = [], product or simulate._rotation_chunk_propagator
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return product(*args)
+
+        monkeypatch.setattr(simulate, "_rotation_chunk_propagator", spy)
+        return threads
+
+    @pytest.mark.parametrize("q0, t_end, chunk", [
+        ((1.0, 0.0, 0.5), 10.0, FAST_CHUNK), ((1.0, 0.0, 0.5), 12.0, FAST_CHUNK),
+        ((1.0, 0.0, 0.5), 15.0, FAST_CHUNK), ((2.0, -1.0, -2.0), 6.0, FAST_CHUNK),
+        ((1.0, 0.0, 0.5), 8.0, 7),
+    ], ids=["T10", "T12", "T15", "T6-negative-attitude", "T8-chunk-7"])
+    def test_pooled_products_equal_serial_bit_for_bit(self, monkeypatch, q0, t_end, chunk):
+        monkeypatch.setattr(simulate, "FAST_CHUNK", chunk)
+        threads, runs = self.spy_chunks(monkeypatch), []
+        for pool_from in (math.inf, 0):  # serial, then pooled from the first step
+            monkeypatch.setattr(simulate, "FAST_POOL_STEPS", pool_from)
+            threads.clear()
+            ts, states = propagate_fast_attitude(q0, -1.0, 1.0, t_end)
+            runs.append((ts.tobytes(), states.tobytes()))
+            on_caller = [t is threading.main_thread() for t in threads]
+            assert all(on_caller) if pool_from else not any(on_caller)
+            assert not any(t.is_alive() for t in threads if t is not threading.main_thread())
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cpus", [{0}, None], ids=["affinity", "cpu-count"])
+    def test_one_cpu_stays_serial(self, monkeypatch, cpus):
+        threads = self.spy_chunks(monkeypatch)
+        if cpus is None:  # where the platform has no affinity mask
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 12.0)  # pooled on 2 CPUs
+        assert set(threads) == {threading.main_thread()}
+
+    def test_short_runs_stay_serial_and_import_no_pool(self):
+        # the benchmark's set-up probe runs T = 1, and the studies T = 5, 8 and 10
+        code = ("import sys; from driftless import simulate\n"
+                "for t_end in (1.0, 5.0, 8.0, 10.0):\n"
+                "    simulate.propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, t_end)\n"
+                "assert 'concurrent.futures' not in sys.modules")
+        path = [os.path.dirname(os.path.dirname(simulate.__file__)), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_failing_chunk_fails_the_call_and_stops_the_pool(self, monkeypatch):
+        # chunks are told apart by their first node, which grows with the chunk order
+        lock, starts, real = threading.Lock(), [], simulate._rotation_chunk_propagator
+
+        def fail_third(t, *args):
+            with lock:
+                starts.append(t[0])
+                third = len(starts) == 3
+            if third:
+                raise ArithmeticError("chunk call 3")
+            return real(t, *args)
+
+        threads = self.spy_chunks(monkeypatch, fail_third)
+        with pytest.raises(ArithmeticError, match="chunk call 3"):
+            propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 15.0)
+        # of about 500 chunks, no more than the workers start beyond the failed one
+        assert sum(t0 > starts[2] for t0 in starts) <= simulate.FAST_WORKERS
+        assert not any(t.is_alive() for t in threads)
+
+    def test_a_warning_in_a_worker_fails_the_call(self, monkeypatch):
+        # under the suite's filterwarnings = error::RuntimeWarning, as in the calling thread
+        def overflow(*args):
+            return np.exp(np.full((2, 2), 1e3))
+
+        threads = self.spy_chunks(monkeypatch, overflow)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 12.0)
+        assert threading.main_thread() not in threads
 
     def test_zero_position_invariant(self):
         Xs = propagate_fast_attitude([0.0, 0.0, 0.5], -1.0, 1.0, 10.0)[1][:, :2]
