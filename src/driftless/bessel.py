@@ -160,8 +160,10 @@ def _hankel(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def _jy(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """((J0, Y0, err_j0, err_y0), (J1, Y1, err_j1, err_y1)), 0 < x <= MAX_ARG.
 
-    Cached on x alone: the J and Y calls of both orders at one x cost one pass.
+    Cached on x alone: the J and Y calls of both orders at one x cost one pass, and
+    one check of x (an x that raises is not cached).
     """
+    _check(x)
     x = float(x)  # a numpy scalar would run numpy scalar arithmetic, and return it
     return _series(x) if x <= SERIES_CUTOFF else _hankel(x)
 
@@ -224,10 +226,9 @@ def jy_array(x) -> np.ndarray:
 
 
 def _point(n: int, x: float) -> tuple[float, ...]:
-    """_jy(x)[n] after the checks of order and argument."""
+    """_jy(x)[n] after the check of order; _jy checks the argument."""
     if n not in (0, 1):  # _jy(x)[-1] would be order 1
         raise DomainError(f"order {n} not supported (orders 0, 1)")
-    _check(x)
     return _jy(x)[n]
 
 

@@ -6,9 +6,9 @@ RK45 for long-horizon runs.  It also provides the gain-switching strategy and
 a propagator for the regime where the attitude is destabilized and the closed
 loop rotates exponentially fast.  The closed loop is written once, as the
 float function unicycle_field.  The unicycle's RK4 and the propagator share one
-builder of RK4 transition matrices (the position is linear given the
-attitude); the propagator's long runs compute them on two threads, with the
-same result.  The other steppers take an autonomous field f(q), carry lists of Python
+builder of RK4 transition increments (the position is linear given the
+attitude); the propagator's long runs compute their products on two threads,
+with the same result.  The other steppers take an autonomous field f(q), carry lists of Python
 floats and hand on the field each step evaluated at its node (RK4's end field, DP45's
 7th stage): it is the node's energy integrand, and the switch's Hermite slopes; _store
 keeps every stepped run's nodes.  Costs on a 2-vCPU AMD EPYC VM: one RK45 attempt
@@ -54,8 +54,10 @@ FAST_CHUNK = 16_384
 # 8.3 against 10.0; pooled horizon-10 studies raised spin-switch's item_s_p50 2.4 %
 FAST_WORKERS = 2
 FAST_POOL_STEPS = 150_000
-# integrate_unicycle: steps per transition-matrix chunk (bounds its temporaries)
+# integrate_unicycle: steps per transition-matrix chunk (bounds its temporaries), and
+# the step count below which _rk4_nodes loops (16-256 took the same time)
 RK4_CHUNK = 4096
+RK4_BASE = 64
 CSV_HEADER = "t,x_c,y_c,theta,energy"
 
 
@@ -358,8 +360,9 @@ def _mul(a, b):
 
 
 def _rk4_transitions(h, a1, a2, a3, a4):
-    """Per-step RK4 transition matrices of X' = A X as 4 arrays (row major),
-    from A at the four stages as _coeffs tuples; h a float or one per step."""
+    """Per-step RK4 increments D = M - I of X' = A X, M the transition matrix, as 4
+    arrays (row major), from A at the four stages as _coeffs tuples; h a float or one
+    per step.  Increments, as I + D would round D's low bits away against the 1."""
 
     def stage(a, k, s):  # A (I + s K)
         return _mul(a, (1.0 + s * k[0], s * k[1], s * k[2], 1.0 + s * k[3]))
@@ -367,8 +370,33 @@ def _rk4_transitions(h, a1, a2, a3, a4):
     k2 = stage(a2, a1, 0.5 * h)
     k3 = stage(a3, k2, 0.5 * h)
     k4 = stage(a4, k3, h)
-    m = [h / 6.0 * (p + 2 * q + 2 * r + w) for p, q, r, w in zip(a1, k2, k3, k4)]
-    return 1.0 + m[0], m[1], m[2], 1.0 + m[3]
+    return tuple(h / 6.0 * (p + 2 * q + 2 * r + w) for p, q, r, w in zip(a1, k2, k3, k4))
+
+
+def _rk4_nodes(d, x, y):
+    """Nodes X_1 .. X_n of X_{k+1} = X_k + D_k X_k from X_0 = (x, y), D given as
+    _rk4_transitions' increments, as two arrays.  Odd-even recursive doubling: a pair
+    of steps is one step, I + E = (I + D1)(I + D0), so the even nodes come from half
+    as many steps, and each odd node is one step from the even node before it.  Below
+    RK4_BASE steps the steps run in a float loop."""
+    n = len(d[0])
+    if n <= RK4_BASE:
+        xs, ys = [], []
+        for a, b, c, w in zip(*(v.tolist() for v in d)):
+            x, y = x + (a * x + b * y), y + (c * x + w * y)
+            xs.append(x)
+            ys.append(y)
+        return np.array(xs), np.array(ys)
+    m = n // 2
+    d0 = tuple(v[0 : 2 * m : 2] for v in d)
+    d1 = tuple(v[1::2] for v in d)
+    ex, ey = _rk4_nodes(tuple(p + q + r for p, q, r in zip(d1, d0, _mul(d1, d0))), x, y)
+    px, py = np.concatenate(([x], ex[: n - m - 1])), np.concatenate(([y], ey[: n - m - 1]))
+    a, b, c, w = (v[::2] for v in d)
+    xs, ys = np.empty(n), np.empty(n)
+    xs[1::2], ys[1::2] = ex, ey
+    xs[::2], ys[::2] = px + (a * px + b * py), py + (c * px + w * py)
+    return xs, ys
 
 
 def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajectory:
@@ -377,11 +405,11 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     _rk4_step's method on the same field, with the sums reordered: the attitude
     stages are fixed multiples of the node attitude theta0 g^n (g the RK4
     amplification factor at z = h rho_theta, positive for real z), and given
-    them the position step is linear, X_{n+1} = M_n X_n.  The 2 x 2 matrices
-    are built with numpy, RK4_CHUNK steps at a time, and applied in one
-    sequential float pass.  T = 30 at step 1e-3 takes about 6 ms on a 2-vCPU
-    AMD EPYC VM; ``rk45`` runs the generic path on unicycle_field (1.0 ms from
-    (1, 0, 0.5) to T = 30 on the same VM).
+    them the position step is linear, X_{n+1} = X_n + D_n X_n.  The 2 x 2
+    increments D_n are built with numpy, RK4_CHUNK steps at a time, and
+    _rk4_nodes applies them by pairwise steps.  T = 30 at step 1e-3 takes about
+    8 ms on a 2-vCPU Xeon VM; ``rk45`` runs the generic path on unicycle_field
+    (1.0 ms from (1, 0, 0.5) to T = 30 on a 2-vCPU AMD EPYC VM).
     """
     q0 = _unicycle_start(q0)
     if cfg.method != "rk4":
@@ -390,7 +418,7 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     n_steps = _rk4_steps(cfg.t_end, cfg.step)
     h = cfg.t_end / n_steps
     guard = DIVERGENCE_FACTOR * max(1.0, math.hypot(*q0))
-    x, y, th0 = (float(v) for v in q0)
+    th0 = float(q0[2])
     # attitude stage factors; theta0 = 0 stays 0 where they overflow
     z = h * rt if th0 else 0.0
     f2 = 1.0 + 0.5 * z
@@ -399,21 +427,17 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     g = 1.0 + z / 6.0 * (1.0 + 2.0 * f2 + 2.0 * f3 + f4)
     times = np.arange(n_steps + 1) * h
     states, rates = np.empty((n_steps + 1, 3)), np.empty(n_steps + 1)
-    states[0] = x, y, th0
+    states[0] = q0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged node is caught below
         for k0 in range(0, n_steps, RK4_CHUNK):
             k1 = min(k0 + RK4_CHUNK, n_steps)
             th = th0 * np.power(g, np.arange(k0, k1 + 1))
             a = _coeffs(th, rp)
             stages = (_coeffs(th[:-1] * f, rp) for f in (f2, f3, f4))
-            m = _rk4_transitions(h, tuple(k[:-1] for k in a), *stages)
-            xs, ys = [], []
-            for p, q, r, w in zip(*(v.tolist() for v in m)):
-                x, y = p * x + q * y, r * x + w * y
-                xs.append(x)
-                ys.append(y)
+            d = _rk4_transitions(h, tuple(k[:-1] for k in a), *stages)
             node = states[k0 : k1 + 1]
-            node[1:, 0], node[1:, 1], node[1:, 2] = xs, ys, th[1:]
+            node[1:, 0], node[1:, 1] = _rk4_nodes(d, *node[0, :2].tolist())
+            node[1:, 2] = th[1:]
             xs, ys, th = node.T
             ax, ay, at = a[0] * xs + a[1] * ys, a[2] * xs + a[3] * ys, rt * th
             rates[k0 : k1 + 1] = ax * ax + ay * ay + at * at
@@ -510,8 +534,8 @@ def _rotation_chunk_propagator(t: np.ndarray, theta: Callable, rho_pos: float) -
     h = np.diff(t)
     nodes = _coeffs(theta(t), rho_pos)
     mid = _coeffs(theta(t[:-1] + 0.5 * h), rho_pos)
-    return _ordered_product(
-        _rk4_transitions(h, tuple(k[:-1] for k in nodes), mid, mid, tuple(k[1:] for k in nodes)))
+    d = _rk4_transitions(h, tuple(k[:-1] for k in nodes), mid, mid, tuple(k[1:] for k in nodes))
+    return _ordered_product((1.0 + d[0], d[1], d[2], 1.0 + d[3]))
 
 
 def _map_chunks(product, chunks, n_steps) -> list:

@@ -170,6 +170,21 @@ class TestGridEval:
         with pytest.raises(type(point.value), match=str(point.value)):
             eval_solution(sol, np.array([0.0, 1.0, bad, 2.0]))
 
+    @pytest.mark.parametrize("theta0", [1.5, -20.0])
+    def test_zero_dimensional_time_is_a_point(self, theta0):
+        # the series and the Hankel branch; the same bits as the float time
+        sol = fit_solution([1.0, 0.5], theta0)
+        got, want = eval_solution(sol, np.array(0.5)), eval_solution(sol, 0.5)
+        assert type(got.theta) is float and got.X.shape == (2,)
+        for name in ("theta", "z1", "z2", "X"):
+            assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (2, 0)])
+    def test_time_array_of_other_shape_is_refused(self, shape):
+        sol = ClosedFormSolution(theta0=1.0, c1=1.0, c2=0.5)
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+            eval_solution(sol, np.ones(shape))
+
     def test_degenerate_grid_matches_points(self):
         t = np.linspace(0.0, 800.0, 57)
         want = np.array([degenerate_eval(1.0, 2.0, v) for v in t])

@@ -136,30 +136,64 @@ class TestIntegrate:
             # the generic path sums the squared speed of each node's stage field
             assert np.max(np.abs(fast.energy - slow.energy)) <= 1e-12
 
+    @staticmethod
+    def assert_steps_are_rk4(q0, gains, step, t_end):
+        """Each step equals _rk4_step from the same node to 4 ulp of the node."""
+        g = GainConfig(*gains)
+        traj = integrate_unicycle(q0, g, IntegratorConfig(step=step, t_end=t_end))
+        f = lambda q: unicycle_field(q, g)
+        for q, q_next in zip(traj.states[:-1].tolist(), traj.states[1:]):
+            want = np.array(_rk4_step(f, q, step, f(q))[0])
+            assert np.max(np.abs(q_next - want)) <= 4 * np.spacing(max(map(abs, q)))
+
     @pytest.mark.parametrize("gains", [(-1.0, -1.0), (-2.0, -0.5), (1.0, 1.0), (-1.0, 0.7)])
     @pytest.mark.parametrize("q0", [(1.0, 0.3, 0.9), (-0.4, 2.0, -3.0), (0.0, 1.0, 25.0)])
     def test_every_transition_step_is_rk4(self, gains, q0):
-        # each step equals _rk4_step from the same node to 4 ulp of the node
-        # (2 measured); another 4th-order method would miss by about h^5 = 3e-7
-        g = GainConfig(*gains)
-        traj = integrate_unicycle(q0, g, IntegratorConfig(step=0.05, t_end=5.0))
-        f = lambda q: unicycle_field(q, g)
-        for q, q_next in zip(traj.states[:-1].tolist(), traj.states[1:]):
-            step = np.array(_rk4_step(f, q, 0.05, f(q))[0])
-            assert np.max(np.abs(q_next - step)) <= 4 * np.spacing(max(map(abs, q)))
+        # 2 ulp measured; another 4th-order method would miss by about h^5 = 3e-7
+        self.assert_steps_are_rk4(q0, gains, 0.05, 5.0)
 
-    @pytest.mark.parametrize("gains, t_stop", [((1.0, 1.0), 15.17), ((2.0, -1.0), 6.95)])
-    def test_divergence_stops_at_the_rk4_node(self, gains, t_stop):
-        # the stop times are the scalar RK4 loop's, before the transition form
-        g, cfg = GainConfig(*gains), IntegratorConfig(step=1e-2, t_end=30.0)
+    @pytest.mark.parametrize("q0, gains, t_end", [
+        ((0.460198, 2.83014, 16.479848), (-0.5, -2.0), 8.0),
+        ((20.819902, -2.253238, 14.015428), (-0.5, -2.0), 8.0),
+        ((1.0, 0.3, 0.9), (-1.0, -1.0), 7.999),
+        ((-0.4, 2.0, -3.0), (-1.0, 0.7), 7.999),
+    ])
+    def test_every_transition_step_is_rk4_at_depth(self, q0, gains, t_end):
+        # the steps pair up through 6 levels below each 4,096-step chunk (7,999 steps
+        # leave a chunk of 3,903, odd at every level); 3 ulp measured on 40 random starts.
+        # Pairing the transition matrices I + D in place of the increments D reached
+        # 5 ulp at the first start
+        self.assert_steps_are_rk4(q0, gains, 1e-3, t_end)
+
+    @staticmethod
+    def stopped_runs(gains, t_stop, step):
+        """The partial runs of the transition form and of the generic RK4 from (1, 0.5,
+        0.3), which must both stop at the node t_stop, with finite states and energy."""
+        g, cfg = GainConfig(*gains), IntegratorConfig(step=step, t_end=30.0)
         with pytest.raises(DivergenceError, match=f"guard at t={t_stop:g}$") as fast:
             integrate_unicycle([1.0, 0.5, 0.3], g, cfg)
         with pytest.raises(DivergenceError, match=f"guard at t={t_stop:g}$") as slow:
             integrate(lambda q: unicycle_field(q, g), [1.0, 0.5, 0.3], cfg)
         a, b = fast.value.trajectory, slow.value.trajectory
         assert np.array_equal(a.times, b.times) and a.times[-1] < t_stop
+        assert np.all(np.isfinite(a.states)) and np.all(np.isfinite(a.energy))
+        assert np.all(np.diff(a.energy) >= 0.0)
+        return a, b
+
+    @pytest.mark.parametrize("gains, t_stop", [((1.0, 1.0), 15.17), ((2.0, -1.0), 6.95)])
+    def test_divergence_stops_at_the_rk4_node(self, gains, t_stop):
+        # the stop times are the scalar RK4 loop's, before the transition form
+        a, b = self.stopped_runs(gains, t_stop, 1e-2)
         assert np.allclose(a.states[-1], b.states[-1], rtol=1e-9, atol=0.0)
-        assert np.all(np.isfinite(a.energy)) and np.all(np.diff(a.energy) >= 0.0)
+
+    @pytest.mark.parametrize("gains, t_stop", [((1.0, 1.0), 15.166), ((2.0, -1.0), 6.948)])
+    def test_divergence_stops_at_the_rk4_node_at_depth(self, gains, t_stop):
+        # at step 1e-3 the pairing runs several levels deep below each chunk.  The last
+        # states differ from the generic run's by 6.3e-11 and 6.0e-15 of their largest
+        # entry: from (1, 1) the attitude passes 1e6 rad, so its rounding turns the position
+        # (3.2e-8 of x), as it did in the sequential transition loop
+        a, b = self.stopped_runs(gains, t_stop, 1e-3)
+        assert np.max(np.abs(a.states[-1] - b.states[-1])) <= 1e-9 * np.max(np.abs(b.states[-1]))
 
     @pytest.mark.parametrize("rho_theta", [1e300, -1e300])
     def test_zero_attitude_survives_overflowing_attitude_gain(self, rho_theta):
@@ -547,8 +581,9 @@ class TestFastAttitudePropagator:
         h = np.diff(t)
         nodes = _coeffs(0.5 * np.exp(t), -1.0)
         mid = _coeffs(0.5 * np.exp(t[:-1] + 0.5 * h), -1.0)
-        m = _rk4_transitions(h, tuple(k[:-1] for k in nodes), mid, mid,
+        d = _rk4_transitions(h, tuple(k[:-1] for k in nodes), mid, mid,
                              tuple(k[1:] for k in nodes))
+        m = (1.0 + d[0], d[1], d[2], 1.0 + d[3])
         want = np.eye(2)
         for mat in np.column_stack(m).reshape(n, 2, 2):
             want = mat @ want
