@@ -17,8 +17,8 @@ the extended-precision Hankel phase stays below 1e-15.
 
 bessel_j/bessel_y return a point value as a float; _jy (a point) and jy_array
 (a grid) also return each value's absolute-error estimate, bit for bit alike.
-On a 2-vCPU Xeon VM a scalar series pass takes 6-13 us up to DOUBLE_BELOW and
-38-57 us above; a 2,001-point grid takes 2-7 ms in jy_array and 11-18 ms point
+On a 2-vCPU Xeon VM a scalar series pass takes 2-7 us up to DOUBLE_BELOW and
+33-54 us above; a 2,001-point grid takes 2-7 ms in jy_array and 11-18 ms point
 by point, but one point 0.3-0.75 ms in jy_array.
 """
 
@@ -50,9 +50,9 @@ def _math(fn, x):
     return fn(x)
 
 
-# the series' number type on each side of DOUBLE_BELOW: one, eps, pi, gamma - ln 2, log
-_DOUBLE = (1.0, 2.0**-52, math.pi, float(_LD_LG0), functools.partial(_math, math.log))
-_LONG = (_LD_ONE, _LD_EPS, _LD_PI, _LD_LG0, np.log)
+# the series' number type on each side of DOUBLE_BELOW: one, eps, pi, gamma - ln 2
+_DOUBLE = (1.0, 2.0**-52, math.pi, float(_LD_LG0))
+_LONG = (_LD_ONE, _LD_EPS, _LD_PI, _LD_LG0)
 
 
 def _check(x: float) -> None:
@@ -76,8 +76,10 @@ def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
     The absolute rounding floor is ~k_peak * eps * peak_term.
     """
-    one, eps, pi, lg0, log = _DOUBLE if x <= DOUBLE_BELOW else _LONG
-    half = one * x / 2
+    one, eps, pi, lg0 = _DOUBLE if (double := x <= DOUBLE_BELOW) else _LONG
+    if not double:
+        x = one * x  # longdouble from here on
+    half = x / 2
     q = -half * half
     t = one
     h = one - one  # H_k
@@ -101,22 +103,26 @@ def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
         a = abs(ty0)
         if a > peak_y0:  # rising: |t|, |u| and |ty1| peak no later than |ty0|
             peak_y0 = a
-            peak_j0 = max(peak_j0, abs(t))
-            peak_j1 = max(peak_j1, abs(u))
-            peak_y1 = max(peak_y1, abs(ty1))
+            if (b := abs(t)) > peak_j0:  # not max(): its 3 calls cost about 1 us a pass
+                peak_j0 = b
+            if (b := abs(u)) > peak_j1:
+                peak_j1 = b
+            if (b := abs(ty1)) > peak_y1:
+                peak_y1 = b
             stop = 1e-3 * eps * (a + 1)
         elif a < stop:  # the other terms are smaller, the tail smaller still
             break
-    lg = log(one * x) + lg0  # ln(x/2) + gamma; x/2 underflows at 5e-324
+    lg = (math.log(x) if double else np.log(x)) + lg0  # ln(x/2) + gamma; x/2 underflows at 5e-324
     j1n = half * sum_j1
-    j0, j1 = float(sum_j0), float(j1n)
-    y0 = float(2 * (lg * sum_j0 - sum_y0) / pi)
-    y1 = float((2 * lg * j1n - half * sum_y1) / pi - 2 / pi / x)  # 2/x overflows in double
+    values = (sum_j0, 2 * (lg * sum_j0 - sum_y0) / pi, j1n,
+              (2 * lg * j1n - half * sum_y1) / pi - 2 / pi / x,  # 2/x overflows in double
+              peak_j0, half * peak_j1, 2 * peak_y0, half * peak_y1)
+    j0, y0, j1, y1, p_j0, p_j1, p_y0, p_y1 = values if double else map(float, values)
     wj, wy = 4.0 * (k + 2) * eps, 8.0 * (k + 4) * eps
-    err_j0 = wj * float(peak_j0) + 4e-16 * abs(j0)
-    err_j1 = wj * float(half * peak_j1) + 4e-16 * abs(j1)
-    err_y0 = wy * float(2 * peak_y0) + 2.0 * err_j0 + 4e-16 * abs(y0)
-    err_y1 = wy * float(half * peak_y1) + 2.0 * err_j1 + 4e-16 * abs(y1)
+    err_j0 = wj * p_j0 + 4e-16 * abs(j0)
+    err_j1 = wj * p_j1 + 4e-16 * abs(j1)
+    err_y0 = wy * p_y0 + 2.0 * err_j0 + 4e-16 * abs(y0)
+    err_y1 = wy * p_y1 + 2.0 * err_j1 + 4e-16 * abs(y1)
     return (j0, y0, err_j0, err_y0), (j1, y1, err_j1, err_y1)
 
 
@@ -168,10 +174,10 @@ def _jy(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return _series(x) if x <= SERIES_CUTOFF else _hankel(x)
 
 
-def _series_array(x: np.ndarray, kind: tuple) -> np.ndarray:
-    """_series per element of x, all on one side of DOUBLE_BELOW, in that side's
-    number type kind (_DOUBLE or _LONG); each element stops at its own term."""
-    one, eps, pi, lg0, log = kind
+def _series_array(x: np.ndarray, double: bool) -> np.ndarray:
+    """_series per element of x, all on one side of DOUBLE_BELOW (below it if double),
+    in that side's number type; each element stops at its own term."""
+    one, eps, pi, lg0 = _DOUBLE if double else _LONG
     half = one * x / 2
     q = -half * half
     sums = np.array([[1], [1], [0], [1]], type(one)).repeat(len(x), 1)  # J0 J1 Y0 Y1
@@ -194,7 +200,8 @@ def _series_array(x: np.ndarray, kind: tuple) -> np.ndarray:
         last[live[done]] = k
         live, t = live[~done], t[~done]
     (s_j0, s_j1, s_y0, s_y1), (p_j0, p_j1, p_y0, p_y1) = sums, peaks
-    lg, j1n = log(one * x) + lg0, half * s_j1
+    lg = (_math(math.log, x) if double else np.log(one * x)) + lg0
+    j1n = half * s_j1
     with np.errstate(over="ignore"):  # Y1 = -inf below about 3.5e-309, as in _series
         y1 = ((2 * lg * j1n - half * s_y1) / pi - 2 / pi / x).astype(float)
     j0, j1 = s_j0.astype(float), j1n.astype(float)
@@ -216,8 +223,8 @@ def jy_array(x) -> np.ndarray:
         _check(float(np.max(x)))
     out = np.empty((2, 4, len(x)))
     low, high = x <= DOUBLE_BELOW, x > SERIES_CUTOFF
-    out[:, :, low] = _series_array(x[low], _DOUBLE)
-    out[:, :, ~low & ~high] = _series_array(x[~low & ~high], _LONG)
+    out[:, :, low] = _series_array(x[low], True)
+    out[:, :, ~low & ~high] = _series_array(x[~low & ~high], False)
     # point by point above the cutoff: few grid points lie there, and an array
     # form of _hankel would save under 2 % of a closed-form-cli round
     values = [_hankel(v) for v in x[high].tolist()]
@@ -225,18 +232,15 @@ def jy_array(x) -> np.ndarray:
     return out
 
 
-def _point(n: int, x: float) -> tuple[float, ...]:
-    """_jy(x)[n] after the check of order; _jy checks the argument."""
-    if n not in (0, 1):  # _jy(x)[-1] would be order 1
-        raise DomainError(f"order {n} not supported (orders 0, 1)")
-    return _jy(x)[n]
-
-
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x), n in {0, 1}, 0 < x <= MAX_ARG."""
-    return _point(n, x)[0]
+    if n not in (0, 1):  # _jy(x)[-1] would be order 1
+        raise DomainError(f"order {n} not supported (orders 0, 1)")
+    return _jy(x)[n][0]
 
 
 def bessel_y(n: int, x: float) -> float:
     """Bessel function of the second kind Y_n(x), n in {0, 1}, 0 < x <= MAX_ARG."""
-    return _point(n, x)[1]
+    if n not in (0, 1):
+        raise DomainError(f"order {n} not supported (orders 0, 1)")
+    return _jy(x)[n][1]

@@ -19,16 +19,17 @@ that matches the numerical oracle.
 
 eval_solution takes one time (four float bessel_j/bessel_y values, math) or a
 1-D array of times (one bessel.jy_array pass, math per element); both give the
-same bits.  A point costs one series pass (6-13 us for |theta| <= 4, summed in
-floats) and about 3.4 us of its own on a 2-vCPU Xeon VM, 1.2-1.9 us of which
-builds the frozen ClosedFormState.  The Bessel functions take |theta| > 0
-only: below 1e-150 _basis uses their leading small-argument terms.
+same bits.  A point costs one series pass (2-7 us for |theta| <= 4, summed in
+floats) and about 3-4 us of its own on a 2-vCPU Xeon VM, 0.6 us of which builds
+the ClosedFormState NamedTuple (a frozen dataclass took 1.3-2.0 us).  The Bessel
+functions take |theta| > 0 only: below 1e-150 _basis uses their leading terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +143,7 @@ def feasible_direction(theta0: float) -> tuple[float, float]:
     return tuple(map(float, d / math.hypot(*d)))
 
 
-@dataclass(frozen=True)
-class ClosedFormState:
+class ClosedFormState(NamedTuple):
     """One state, or a grid of them: then theta, z1, z2 are arrays, X is n x 2."""
 
     theta: float
@@ -152,31 +152,41 @@ class ClosedFormState:
     X: np.ndarray
 
 
+def _time(t):
+    """t as a float, or a 1-D array of times (a 0-d array is a point): ValueError for
+    another shape or a negative time."""
+    if isinstance(t, np.ndarray) and t.ndim:
+        if t.ndim != 1:
+            raise ValueError(f"t must be a time or a 1-D array of times, got shape {t.shape}")
+        if (t < 0.0).any():
+            raise ValueError("t must be nonnegative")
+        return t
+    if (t := float(t)) < 0.0:
+        raise ValueError("t must be nonnegative")
+    return t
+
+
 def eval_solution(sol: ClosedFormSolution, t: float) -> ClosedFormState:
     """Evaluate attitude, rotated coordinates, and position at time t >= 0 (or a 1-D
     array; a 0-d array is a point)."""
-    grid = isinstance(t, np.ndarray) and t.ndim > 0
-    if grid and t.ndim != 1:
-        raise ValueError(f"t must be a time or a 1-D array of times, got shape {t.shape}")
-    if not grid:
-        t = float(t)
-    if (t < 0.0).any() if grid else t < 0.0:
-        raise ValueError("t must be nonnegative")
-    theta = sol.theta0 * (_math(math.exp, -t) if grid else math.exp(-t))
-    (a, b), (c, d) = (_basis_grid if grid else _basis)(theta)
+    if point := isinstance(t := _time(t), float):
+        theta = sol.theta0 * math.exp(-t)
+        (a, b), (c, d) = _basis(theta)
+    else:
+        theta = sol.theta0 * _math(math.exp, -t)
+        (a, b), (c, d) = _basis_grid(theta)
     z1 = a * sol.c1 + b * sol.c2
     z2 = c * sol.c1 + d * sol.c2
     X = from_z_frame((z1, z2), theta)
-    return ClosedFormState(theta=theta, z1=z1, z2=z2, X=X.T if grid else X)
+    return ClosedFormState(theta, z1, z2, X if point else X.T)
 
 
 def degenerate_eval(x0: float, y0: float, t: float) -> np.ndarray:
-    """Position when the attitude is identically zero; n x 2 for a 1-D array t.
+    """Position when the attitude is identically zero, at a time t >= 0 (a point) or at
+    each of a 1-D array of times (n x 2), t taken as eval_solution takes it.
 
     The closed loop reduces to x' = RHO x, y' = 0.
     """
-    x = x0 * _math(math.exp, RHO * t)
-    if isinstance(t, np.ndarray):
-        return np.column_stack((x, np.full(t.shape, y0)))
-    return np.array([x, y0])
-
+    if isinstance(t := _time(t), float):
+        return np.array([x0 * math.exp(RHO * t), y0])
+    return np.column_stack((x0 * _math(math.exp, RHO * t), np.full(t.shape, y0)))

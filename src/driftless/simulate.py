@@ -6,8 +6,8 @@ RK45 for long-horizon runs.  It also provides the gain-switching strategy and
 a propagator for the regime where the attitude is destabilized and the closed
 loop rotates exponentially fast.  The closed loop is written once, as the
 float function unicycle_field.  The unicycle's RK4 and the propagator share one
-builder of RK4 transition increments (the position is linear given the
-attitude); the propagator's long runs compute their products on two threads,
+builder of RK4 transition increments (the position is linear given the attitude,
+each stage slope of rank one); the propagator's long runs use two threads,
 with the same result.  The other steppers take an autonomous field f(q), carry lists of Python
 floats and hand on the field each step evaluated at its node (RK4's end field, DP45's
 7th stage): it is the node's energy integrand, and the switch's Hermite slopes; _store
@@ -344,13 +344,6 @@ def integrate(f: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory.from_samples(*run)
 
 
-def _coeffs(th, rho_pos):
-    """rho_pos v v' at the attitudes th, v = (cos th, sin th), as 4 arrays (row major)."""
-    c, sn = np.cos(th), np.sin(th)
-    cs = rho_pos * c * sn
-    return (rho_pos * c * c, cs, cs, rho_pos * sn * sn)
-
-
 def _mul(a, b):
     """Product a @ b of 2 x 2 matrices given as 4 row-major scalars or arrays."""
     a11, a12, a21, a22 = a
@@ -359,18 +352,24 @@ def _mul(a, b):
             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
 
 
-def _rk4_transitions(h, a1, a2, a3, a4):
-    """Per-step RK4 increments D = M - I of X' = A X, M the transition matrix, as 4
-    arrays (row major), from A at the four stages as _coeffs tuples; h a float or one
-    per step.  Increments, as I + D would round D's low bits away against the 1."""
-
-    def stage(a, k, s):  # A (I + s K)
-        return _mul(a, (1.0 + s * k[0], s * k[1], s * k[2], 1.0 + s * k[3]))
-
-    k2 = stage(a2, a1, 0.5 * h)
-    k3 = stage(a3, k2, 0.5 * h)
-    k4 = stage(a4, k3, h)
-    return tuple(h / 6.0 * (p + 2 * q + 2 * r + w) for p, q, r, w in zip(a1, k2, k3, k4))
+def _rk4_transitions(h, rho, v1, v2, v3, v4):
+    """Per-step RK4 increments D = M - I of X' = rho v v' X, M the transition matrix, as
+    4 arrays (row major), from the stage directions v = (cos theta, sin theta) as pairs
+    of arrays; h a float or one per step.  Each stage slope K_i = A_i (I + s K_{i-1})
+    has rank one, v_i w_i' with w_1 = rho v_1 and w_i = rho (v_i + s (v_i . v_{i-1})
+    w_{i-1}), so D = h/6 sum m_i v_i w_i' takes no 2 x 2 products.  Increments, as
+    I + D would round D's low bits away against the 1."""
+    (c, s), hh = v1, 0.5 * h
+    wx, wy = rho * c, rho * s
+    d = [c * wx, c * wy, s * wx, s * wy]
+    for (cn, sn), step, m in ((v2, hh, 2.0), (v3, hh, 2.0), (v4, h, 1.0)):
+        f = step * (cn * c + sn * s)
+        wx, wy = rho * (cn + f * wx), rho * (sn + f * wy)
+        mx, my = m * wx, m * wy
+        d = [d[0] + cn * mx, d[1] + cn * my, d[2] + sn * mx, d[3] + sn * my]
+        c, s = cn, sn
+    h6 = h / 6.0
+    return tuple(h6 * v for v in d)
 
 
 def _rk4_nodes(d, x, y):
@@ -406,10 +405,10 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
     stages are fixed multiples of the node attitude theta0 g^n (g the RK4
     amplification factor at z = h rho_theta, positive for real z), and given
     them the position step is linear, X_{n+1} = X_n + D_n X_n.  The 2 x 2
-    increments D_n are built with numpy, RK4_CHUNK steps at a time, and
-    _rk4_nodes applies them by pairwise steps.  T = 30 at step 1e-3 takes about
-    8 ms on a 2-vCPU Xeon VM; ``rk45`` runs the generic path on unicycle_field
-    (1.0 ms from (1, 0, 0.5) to T = 30 on a 2-vCPU AMD EPYC VM).
+    increments D_n are built from the stage directions, RK4_CHUNK steps at a time,
+    and _rk4_nodes applies them by pairwise steps.  T = 30 at step 1e-3 took 9.4 ms
+    on a 2-vCPU Xeon VM (10.5 ms by stage products); ``rk45`` runs the generic path
+    (unicycle_field; 1.0 ms from (1, 0, 0.5) to T = 30 on a 2-vCPU AMD EPYC VM).
     """
     q0 = _unicycle_start(q0)
     if cfg.method != "rk4":
@@ -432,15 +431,15 @@ def integrate_unicycle(q0, gains: GainConfig, cfg: IntegratorConfig) -> Trajecto
         for k0 in range(0, n_steps, RK4_CHUNK):
             k1 = min(k0 + RK4_CHUNK, n_steps)
             th = th0 * np.power(g, np.arange(k0, k1 + 1))
-            a = _coeffs(th, rp)
-            stages = (_coeffs(th[:-1] * f, rp) for f in (f2, f3, f4))
-            d = _rk4_transitions(h, tuple(k[:-1] for k in a), *stages)
+            c, s = np.cos(th), np.sin(th)
+            stages = ((np.cos(u), np.sin(u)) for u in (th[:-1] * f for f in (f2, f3, f4)))
+            d = _rk4_transitions(h, rp, (c[:-1], s[:-1]), *stages)
             node = states[k0 : k1 + 1]
             node[1:, 0], node[1:, 1] = _rk4_nodes(d, *node[0, :2].tolist())
             node[1:, 2] = th[1:]
             xs, ys, th = node.T
-            ax, ay, at = a[0] * xs + a[1] * ys, a[2] * xs + a[3] * ys, rt * th
-            rates[k0 : k1 + 1] = ax * ax + ay * ay + at * at
+            forward, at = rp * (c * xs + s * ys), rt * th  # |rho v v' X| = |rho v . X|
+            rates[k0 : k1 + 1] = forward * forward + at * at
             bad = np.flatnonzero(~(xs * xs + ys * ys + th * th <= guard * guard))
             if bad.size:
                 stop = k0 + int(bad[0])
@@ -529,12 +528,13 @@ def _ordered_product(m) -> np.ndarray:
 
 def _rotation_chunk_propagator(t: np.ndarray, theta: Callable, rho_pos: float) -> np.ndarray:
     """RK4 transition product of dX/dt = rho_pos v v' X over the time nodes t,
-    v = (cos theta(t), sin theta(t)): per-step matrices in vectorized form (both
-    midpoint stages at one attitude), reduced by an ordered pairwise product."""
+    v = (cos theta(t), sin theta(t)): per-step increments from the node and midpoint
+    directions (both midpoint stages at one attitude), reduced by an ordered pairwise
+    product."""
     h = np.diff(t)
-    nodes = _coeffs(theta(t), rho_pos)
-    mid = _coeffs(theta(t[:-1] + 0.5 * h), rho_pos)
-    d = _rk4_transitions(h, tuple(k[:-1] for k in nodes), mid, mid, tuple(k[1:] for k in nodes))
+    th, th_mid = theta(t), theta(t[:-1] + 0.5 * h)
+    c, s, mid = np.cos(th), np.sin(th), (np.cos(th_mid), np.sin(th_mid))
+    d = _rk4_transitions(h, rho_pos, (c[:-1], s[:-1]), mid, mid, (c[1:], s[1:]))
     return _ordered_product((1.0 + d[0], d[1], d[2], 1.0 + d[3]))
 
 

@@ -246,6 +246,16 @@ def test_jy_array_equals_scalar_bit_for_bit():
     assert same_as_points(x)
 
 
+def test_float_series_pass_equals_jy_array_bit_for_bit():
+    # the float pass of the point path, on a dense log sweep of its whole range and
+    # at DOUBLE_BELOW's neighbours, where the longdouble pass takes over
+    x = np.concatenate([
+        np.geomspace(5e-324, DOUBLE_BELOW, 4001),
+        [np.nextafter(DOUBLE_BELOW, 0.0), DOUBLE_BELOW, np.nextafter(DOUBLE_BELOW, 5.0)],
+    ])
+    assert same_as_points(x)
+
+
 @pytest.mark.parametrize(
     "x",
     [

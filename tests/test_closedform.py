@@ -190,8 +190,30 @@ class TestGridEval:
         want = np.array([degenerate_eval(1.0, 2.0, v) for v in t])
         assert degenerate_eval(1.0, 2.0, t).tobytes() == want.tobytes()
 
+    def test_state_is_immutable_with_fixed_fields(self):
+        state = eval_solution(fit_solution([1.0, 0.5], 1.5), 0.5)
+        assert state._fields == ("theta", "z1", "z2", "X")
+        for name in state._fields:
+            with pytest.raises(AttributeError):
+                setattr(state, name, 0.0)
+
 
 class TestDegenerateEval:
+    def test_zero_dimensional_time_is_a_point(self):
+        got, want = degenerate_eval(1.0, 2.0, np.array(0.5)), degenerate_eval(1.0, 2.0, 0.5)
+        assert got.shape == want.shape == (2,)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (2, 0)])
+    def test_time_array_of_other_shape_is_refused(self, shape):
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+            degenerate_eval(1.0, 2.0, np.ones(shape))
+
+    @pytest.mark.parametrize("t", [-1.0, np.array(-1.0), np.array([0.0, 1.0, -1.0])])
+    def test_negative_time_is_refused(self, t):
+        with pytest.raises(ValueError, match="nonnegative"):
+            degenerate_eval(1.0, 2.0, t)
+
     def test_exact_exponential(self):
         X = degenerate_eval(1.0, 2.0, 1.0)
         assert np.allclose(X, [math.exp(-1.0), 2.0])
