@@ -42,12 +42,10 @@ _LD_ONE = np.longdouble(1)
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
-def _math(fn, x):
-    """The math function fn at x, or at each element of an ndarray x: numpy's
-    own loops may differ by an ulp, and a grid must equal its points bit for bit."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), float, x.size)
-    return fn(x)
+def _math(fn, x: np.ndarray) -> np.ndarray:
+    """The math function fn at each element of x: numpy's own loops may differ
+    by an ulp, and a grid must equal its points bit for bit."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 # the series' number type on each side of DOUBLE_BELOW: one, eps, pi, gamma - ln 2

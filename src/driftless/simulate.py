@@ -7,8 +7,8 @@ a propagator for the regime where the attitude is destabilized and the closed
 loop rotates exponentially fast.  The closed loop is written once, as the
 float function unicycle_field.  The unicycle's RK4 and the propagator share one
 builder of RK4 transition increments (the position is linear given the attitude,
-each stage slope of rank one); the propagator's long runs use two threads,
-with the same result.  The other steppers take an autonomous field f(q), carry lists of Python
+each stage slope of rank one); the propagator's long runs map their chunk
+products over a two-thread pool, with the same result.  The other steppers take an autonomous field f(q), carry lists of Python
 floats and hand on the field each step evaluated at its node (RK4's end field, DP45's
 7th stage): it is the node's energy integrand, and the switch's Hermite slopes; _store
 keeps every stepped run's nodes.  Costs on a 2-vCPU AMD EPYC VM: one RK45 attempt
@@ -17,7 +17,6 @@ keeps every stepped run's nodes.  Costs on a 2-vCPU AMD EPYC VM: one RK45 attemp
 
 from __future__ import annotations
 
-import collections
 import itertools
 import json
 import math
@@ -46,9 +45,11 @@ FAST_STEP_S = 0.2
 FAST_STEP_POS = 1e-3
 FAST_SAMPLES = 8
 FAST_CHUNK = 16_384
-# from FAST_POOL_STEPS steps, FAST_WORKERS threads compute the chunk products
-# (numpy releases the GIL in its loops), two chunks' temporaries live (2 x 3.7 MB):
-# on the same VM T = 15 took 0.27-0.31 s against 0.46-0.48 s on one thread.  Below,
+# from FAST_POOL_STEPS steps, Executor.map on FAST_WORKERS threads computes the chunk
+# products (numpy releases the GIL in its loops), two chunks' temporaries live (2 x 3.7 MB)
+# and every chunk's future from the start (1.9 kB each).  On one CPU too, where T = 15 took
+# 1.29 s pooled and 1.48 s in the calling thread alone (medians of 10 fresh processes, 2-vCPU
+# Xeon VM), 1.38 and 1.25 s in another set of 6: no CPU count is probed.  Below,
 # the median gain (none under 50,000 steps; T = 5 would lose 0.6 ms) does not pay
 # for a slower tail: at 114,433 steps p90 8.5 ms pooled against 7.5 ms, at 158,150
 # 8.3 against 10.0; pooled horizon-10 studies raised spin-switch's item_s_p50 2.4 %
@@ -538,33 +539,6 @@ def _rotation_chunk_propagator(t: np.ndarray, theta: Callable, rho_pos: float) -
     return _ordered_product((1.0 + d[0], d[1], d[2], 1.0 + d[3]))
 
 
-def _map_chunks(product, chunks, n_steps) -> list:
-    """[product(c) for c in chunks]: on FAST_WORKERS threads from FAST_POOL_STEPS steps,
-    where the process may use more than one CPU, else in the calling thread.  Chunks
-    are submitted at most FAST_WORKERS ahead of the one whose result the caller waits
-    for: one queued chunk spares a worker the wait for the caller (T = 15 took 7 %
-    longer without it), and no more than FAST_WORKERS chunks after one that raises
-    can start.  An error or an interrupt cancels the rest; no thread outlives the call."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if n_steps < FAST_POOL_STEPS or min(FAST_WORKERS, cpus or 1) < 2:
-        return [product(c) for c in chunks]
-    # imported here: it loads logging, 3.7 ms that a serial run does not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    out, ahead = [], collections.deque()
-    with ThreadPoolExecutor(FAST_WORKERS) as pool:
-        try:
-            for c in chunks:
-                if len(ahead) > FAST_WORKERS:
-                    out.append(ahead.popleft().result())
-                ahead.append(pool.submit(product, c))
-            out.extend(f.result() for f in ahead)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return out
-
-
 def propagate_fast_attitude(q0, rho_pos: float, rho_theta: float, t_end: float):
     """Trajectory from q0 = (x_c, y_c, theta0) when the attitude gain is destabilizing.
 
@@ -578,9 +552,10 @@ def propagate_fast_attitude(q0, rho_pos: float, rho_theta: float, t_end: float):
     two limits meet; beyond s_c each step turns the attitude by FAST_STEP_S.
     From FAST_POOL_STEPS steps the chunk products run on FAST_WORKERS threads
     and the calling thread folds them in order: the result does not depend on
-    it.  From (1, 0, 0.5) at the paper's gains the run to T = 15 takes 8.2e6
-    steps and 0.27-0.31 s on a 2-vCPU AMD EPYC VM (0.46-0.48 s on one thread),
-    0.38-0.45 s in a fresh process (0.65-0.67 s).
+    it.  An error in a chunk (when the calling thread reaches it) or an interrupt
+    outside the pool's own code cancels the chunks not yet started; no thread
+    outlives the call.  From (1, 0, 0.5) at the paper's gains the run to T = 15
+    takes 8.2e6 steps, 0.27-0.31 s on a 2-vCPU AMD EPYC VM.
 
     Returns (times, states) at FAST_SAMPLES + 1 evenly spaced times from 0 to
     t_end, rows (x_c, y_c, theta) as in Trajectory.states: theta is the law
@@ -638,7 +613,18 @@ def propagate_fast_attitude(q0, rho_pos: float, rho_theta: float, t_end: float):
 
     X = q0[:2]
     out_X = [X]
-    products = _map_chunks(product, chunks, sum(span[2] for span in spans))
+    if sum(span[2] for span in spans) < FAST_POOL_STEPS:
+        products = [product(c) for c in chunks]
+    else:
+        # imported here: it loads logging, 3.7 ms that a serial run does not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(FAST_WORKERS) as pool:
+            try:
+                products = list(pool.map(product, chunks))
+            except BaseException:  # else every chunk submitted so far runs before the exit
+                pool.shutdown(cancel_futures=True)
+                raise
     for (_, _, n, k0), P in zip(chunks, products):
         X = P @ X
         if k0 + FAST_CHUNK >= n:  # the last chunk before an output time

@@ -22,6 +22,7 @@ from driftless.errors import DivergenceError, InconclusiveError
 from driftless.simulate import (
     GainConfig,
     IntegratorConfig,
+    Trajectory,
     integrate_unicycle,
     propagate_fast_attitude,
     unicycle_field,
@@ -61,6 +62,13 @@ class TestCertifyStability:
 
         stub = Trajectory(traj.times[:5], traj.states[:5], traj.energy[:5])
         with pytest.raises(InconclusiveError):
+            certify_stability(stub, lambda q: unicycle_field(q, STABLE), tol=1e-6)
+
+    def test_final_decile_without_samples_inconclusive(self):
+        # 20 nodes up to t = 0.19, then one at t = 10: none from t = 9 on but the last
+        times = np.append(0.01 * np.arange(20), 10.0)
+        stub = Trajectory(times, np.zeros((21, 3)), np.zeros(21))
+        with pytest.raises(InconclusiveError, match="final decile contains too few samples"):
             certify_stability(stub, lambda q: unicycle_field(q, STABLE), tol=1e-6)
 
     def test_state_norm_beyond_sqrt_of_max_double(self):

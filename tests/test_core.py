@@ -75,6 +75,16 @@ def test_validate_argument_errors():
         validate_fields(unicycle_field_set(), [np.zeros(3)], 0.0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: as_state([[1.0, 0.0, 0.5]]), "must be a 1-D vector"),
+    (lambda: as_state([1.0, math.nan, 0.5]), "entries must be finite"),
+    (lambda: state_feedback([1.0, 0.0, 0.5], unicycle_field_set(), math.nan), "rho must be finite"),
+], ids=["2-D-state", "non-finite-state", "non-finite-rho"])
+def test_bad_inputs_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestStateFeedback:
     def test_zero_state(self):
         u = state_feedback(np.zeros(3), unicycle_field_set(), -3.7)

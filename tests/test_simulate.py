@@ -1,5 +1,7 @@
 """Integrators, unicycle field, switching, serialization."""
 
+import _thread
+import itertools
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -499,6 +502,9 @@ class TestSwitching:
         bad = GainConfig(-1.0, -1.0, switch_enabled=True, switch_radius=0.05, rho_theta_after_switch=-1.0)
         with pytest.raises(ValueError):
             run_switching([1, 1, 0.5], bad, self.CFG)
+        still = GainConfig(0.0, 1.0, switch_enabled=True, switch_radius=0.05, rho_theta_after_switch=-1.0)
+        with pytest.raises(ValueError, match="rho_pos must be negative"):
+            run_switching([1, 1, 0.5], still, self.CFG)
 
 
 class TestNodeFields:
@@ -641,9 +647,8 @@ class TestFastAttitudePropagator:
 
     @staticmethod
     def spy_chunks(monkeypatch, product=None):
-        """The threads that compute the chunk products, in call order, in a process that
-        may use 2 CPUs; product, if given, replaces _rotation_chunk_propagator."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        """The threads that compute the chunk products, in call order; product, if
+        given, replaces _rotation_chunk_propagator."""
         threads, product = [], product or simulate._rotation_chunk_propagator
 
         def spy(*args):
@@ -670,17 +675,6 @@ class TestFastAttitudePropagator:
             assert all(on_caller) if pool_from else not any(on_caller)
             assert not any(t.is_alive() for t in threads if t is not threading.main_thread())
         assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("cpus", [{0}, None], ids=["affinity", "cpu-count"])
-    def test_one_cpu_stays_serial(self, monkeypatch, cpus):
-        threads = self.spy_chunks(monkeypatch)
-        if cpus is None:  # where the platform has no affinity mask
-            monkeypatch.delattr(os, "sched_getaffinity")
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 12.0)  # pooled on 2 CPUs
-        assert set(threads) == {threading.main_thread()}
 
     def test_short_runs_stay_serial_and_import_no_pool(self):
         # the benchmark's set-up probe runs T = 1, and the studies T = 5, 8 and 10
@@ -709,8 +703,55 @@ class TestFastAttitudePropagator:
         threads = self.spy_chunks(monkeypatch, fail_third)
         with pytest.raises(ArithmeticError, match="chunk call 3"):
             propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 15.0)
-        # of about 500 chunks, no more than the workers start beyond the failed one
-        assert sum(t0 > starts[2] for t0 in starts) <= simulate.FAST_WORKERS
+        # the run stops early: of about 500 chunks, at most 12 started in 800 runs (switch
+        # interval 1e-6 or the default, on 1 or 2 CPUs), 9 of them after the failed one
+        assert len(starts) <= 40
+        assert not any(t.is_alive() for t in threads)
+
+    @pytest.mark.parametrize("when", ["waiting", "submitting"])
+    def test_an_interrupt_in_the_calling_thread_stops_the_pool(self, monkeypatch, when):
+        # a Ctrl-C while the caller waits for a result (_thread.interrupt_main from the 3rd
+        # chunk; map's iterator cancels the rest) or between two of map's submits (raised
+        # by the 100th; the pool's cancel on the way out stops the rest).  Neither lands
+        # inside the pool's own code, where it can leave a lock held and the exit waiting
+        from concurrent.futures import ThreadPoolExecutor
+
+        lock, starts, at = threading.Lock(), [], []
+        real, submit = simulate._rotation_chunk_propagator, ThreadPoolExecutor.submit
+        caller, submits = threading.main_thread().ident, itertools.count(1)
+
+        def waiting():  # the calling thread waits in a future's result()
+            frame = sys._current_frames().get(caller)
+            while frame and not (frame.f_code.co_name == "result"
+                                 and "concurrent" in frame.f_code.co_filename):
+                frame = frame.f_back
+            return frame is not None
+
+        def interrupt_third(t, *args):
+            with lock:
+                starts.append(t[0])
+                third = len(starts) == 3 and when == "waiting"
+            while third and not waiting():
+                time.sleep(1e-4)
+            if third:
+                at.append(3)
+                _thread.interrupt_main()
+            return real(t, *args)
+
+        def interrupt_100th(pool, *args):
+            if next(submits) == 100 and when == "submitting":
+                with lock:
+                    at.append(len(starts))
+                raise KeyboardInterrupt
+            return submit(pool, *args)
+
+        threads = self.spy_chunks(monkeypatch, interrupt_third)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", interrupt_100th)
+        with pytest.raises(KeyboardInterrupt):
+            propagate_fast_attitude((1.0, 0.0, 0.5), -1.0, 1.0, 15.0)
+        # of about 500 chunks, at most 8 started after the interrupt in 1,000 runs of each
+        # case on 1 or 2 CPUs; without the pool's cancel, submitting ran 99
+        assert len(starts) - at[0] <= 20
         assert not any(t.is_alive() for t in threads)
 
     def test_a_warning_in_a_worker_fails_the_call(self, monkeypatch):
@@ -914,6 +955,19 @@ def test_integrator_config_refuses_bad_numbers(field, value):
 def test_gain_config_refuses_non_finite_gains(gains):
     with pytest.raises(ValueError, match="gains must be finite"):
         GainConfig(*gains)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: GainConfig(-1.0, 1.0, switch_enabled=True), "switch_radius must be positive"),
+    (lambda: IntegratorConfig(method="rk5"), "unknown method 'rk5'"),
+    (lambda: Trajectory(np.zeros(2), np.zeros((3, 3)), np.zeros(2)), "length mismatch"),
+    (lambda: propagate_fast_attitude([1.0, 0.0, 0.5], -1.0, 0.0, 5.0), "growing attitude"),
+    (lambda: propagate_fast_attitude([1.0, 0.0, 0.5], -1.0, -1.0, 5.0), "growing attitude"),
+], ids=["switch-radius-0", "method-rk5", "trajectory-lengths", "fast-attitude-rho-theta-0",
+        "fast-attitude-rho-theta-negative"])
+def test_bad_settings_are_refused(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1.0])
