@@ -11,9 +11,9 @@ each stage slope of rank one); the propagator's long runs map their chunk
 products over a two-thread pool, with the same result.  The other steppers take an autonomous field f(q), carry lists of Python
 floats and hand on the field each step evaluated at its node (RK4's end field, DP45's
 7th stage): it is the node's energy integrand, and the switch's Hermite slopes; _store
-keeps every stepped run's nodes.  Costs on a 2-vCPU AMD EPYC VM: one RK45 attempt
-6.0-6.3 us; switching runs from (10, -3, 2) to T = 30, 1.31-1.36 s, and from
-(1, 1, 0.5) with RK4 to T = 25, 0.07 s."""
+keeps every stepped run's nodes in flat arrays of doubles.  Costs on a 2-vCPU AMD EPYC
+VM: one RK45 attempt 6.0-6.3 us; switching runs from (10, -3, 2) to T = 30, 1.31-1.36 s,
+and from (1, 1, 0.5) with RK4 to T = 25, 0.07 s."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,8 +34,8 @@ from .errors import DivergenceError, RangeError, StoppedRunError, SwitchTimeoutE
 
 DIVERGENCE_FACTOR = 1e6
 # stored nodes of one run (rk4 t_end / step, rk45 steps of both switching phases,
-# closed-form samples): a JSON export peaks at about 0.5 kB per node, so an
-# accepted run stays under 1 GB RSS
+# closed-form samples): at the budget a JSON export peaked at 134 MB RSS for
+# simulate and 229 MB for closed-form, 0.09-0.15 kB per node (README)
 MAX_NODES = 1_500_000
 # propagate_fast_attitude: per step, at most FAST_STEP_S rad of attitude turn
 # and |rho_pos| dt <= FAST_STEP_POS; FAST_SAMPLES + 1 outputs, FAST_CHUNK steps
@@ -60,6 +61,7 @@ FAST_POOL_STEPS = 150_000
 RK4_CHUNK = 4096
 RK4_BASE = 64
 CSV_HEADER = "t,x_c,y_c,theta,energy"
+EXPORT_BLOCK = 4096  # rows that an export formats at a time: 3,001 rows are one block
 
 
 @dataclass(frozen=True)
@@ -169,39 +171,44 @@ class Trajectory:
                 energy[1:] = np.cumsum(0.5 * (rates[:-1] + rates[1:]) * dt)
         return Trajectory(times, states, energy)
 
-    def _rows(self) -> np.ndarray:  # both exports' (t, x_c, y_c, theta, energy) rows
+    def _blocks(self):  # both exports' rows, EXPORT_BLOCK at a time
         if self.states.shape[1] != 3:
             raise ValueError("the export schema is defined for 3-state trajectories")
-        return np.column_stack((self.times, self.states, self.energy))
+        cols = self.times, self.states, self.energy
+        return (np.column_stack([a[i : i + EXPORT_BLOCK] for a in cols])
+                for i in range(0, len(self.times), EXPORT_BLOCK))
 
     def to_csv(self, path: str) -> None:
         """Write the fixed (t, x_c, y_c, theta, energy) schema, 17 sig digits."""
-        rows = self._rows()
         row = ",".join(["%.17g"] * 5) + "\n"
-        _atomic_write(path, CSV_HEADER + "\n" + (row * len(rows)) % tuple(rows.ravel().tolist()))
+        blocks = ((row * len(b)) % tuple(b.ravel().tolist()) for b in self._blocks())
+        _atomic_write(path, itertools.chain([CSV_HEADER + "\n"], blocks))
 
     def to_json(self, path: str, meta: dict | None = None) -> None:
         """Write json.dumps({"meta", "columns", "rows"}, indent=2, allow_nan=False)
-        + "\\n", the rows through one %r row template: repr is json's float form."""
-        rows = self._rows()
+        + "\\n", each block of rows through one %r row template: repr is json's float form."""
         head = json.dumps({"meta": {"tool_version": __version__, **(meta or {})},
                            "columns": CSV_HEADER.split(","), "rows": []}, indent=2, allow_nan=False)
-        if not np.isfinite(rows).all():  # json's own ValueError, naming the first value refused
-            json.dumps(rows.tolist(), indent=2, allow_nan=False)
-        row = "    [\n" + ",\n".join(["      %r"] * 5) + "\n    ]"
-        body = "[\n" + ",\n".join([row] * len(rows)) + "\n  ]" if len(rows) else "[]"
-        _atomic_write(path, head[:-4] + body % tuple(rows.ravel().tolist()) + "\n}\n")
+        row = "\n    [\n" + ",\n".join(["      %r"] * 5) + "\n    ]"
+        body = (("," if i else "[") + ",".join([row] * len(b)) % tuple(b.ravel().tolist())
+                for i, b in enumerate(self._blocks()))
+        if not (finite := np.isfinite(self.times) & np.isfinite(self.states).all(axis=1)).all():
+            i = finite.argmin()  # json's own ValueError names the first value refused
+            json.dumps(np.hstack((self.times[i], self.states[i], self.energy[i])).tolist(),
+                       indent=2, allow_nan=False)
+        tail = "\n  ]\n}\n" if len(self.times) else "[]\n}\n"
+        _atomic_write(path, itertools.chain([head[:-4]], body, [tail]))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write a fresh file beside path and os.replace it: no partial file on error, open()'s
-    mode (0666 less the umask, which the kernel applies), and on ext4 a replaced file's data
-    on disk before the rename: 200 kB took 50 ms to replace, 0.05 ms fresh, on one VM (README)."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of chunks to a fresh file beside path and os.replace it: no partial
+    file on error, open()'s mode (0666 less the umask, which the kernel applies), and on ext4 a
+    replaced file's data on disk before the rename (200 kB: 50 ms, 0.05 ms fresh; README)."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -312,25 +319,31 @@ def _rate(k) -> float:
     return sum(v * v for v in k)
 
 
+def _trajectory(run) -> Trajectory:
+    """The Trajectory of a run that takes no more nodes, on views of its arrays."""
+    times, states, rates = map(np.frombuffer, run)
+    return Trajectory.from_samples(times, states.reshape(len(times), -1), rates)
+
+
 def _store(run, stream, inside=None, k=None):
-    """Store each (t, q, k) node of ``stream`` in run = (times, states, rates)
-    as (t, q, |k|^2): RangeError past MAX_NODES nodes after the start; the run
-    so far goes to any StoppedRunError.  With ``inside``, stop before the first
-    node where inside(q) holds and return (t, q, k) of the last stored node (k
-    its field, or the start's) and of that node, as one 6-tuple; else None."""
+    """Store each (t, q, k) node of ``stream`` as (t, q, |k|^2) in run = (times, states,
+    rates), arrays of doubles (states row after row, 40 B a node at 3 states): RangeError
+    past MAX_NODES nodes after the start; the run so far goes to any StoppedRunError.  With
+    ``inside``, stop before the first node where inside(q) holds and return (t, q, k) of the
+    last stored node (k its field, or the start's) and of that node, as one 6-tuple; else None."""
     times, states, rates = run
     try:
         for t, q, k_new in stream:
             if inside is not None and inside(q):
-                return times[-1], states[-1], k, t, q, k_new
+                return times[-1], states[-len(q):], k, t, q, k_new
             if len(times) > MAX_NODES:
                 raise RangeError(f"more than {MAX_NODES} nodes: the run exceeds the node budget")
             times.append(t)
-            states.append(q)
+            states.extend(q)
             rates.append(_rate(k_new))
             k = k_new
     except StoppedRunError as exc:
-        exc.trajectory = Trajectory.from_samples(*run)
+        exc.trajectory = _trajectory(run)
         raise
     return None
 
@@ -340,9 +353,11 @@ def integrate(f: Callable, q0, cfg: IntegratorConfig) -> Trajectory:
     Python floats and returns as many floats, as unicycle_field does: no arrays."""
     q0 = as_state(q0)
     k0 = f(q0.tolist())
-    run = [0.0], [q0], [_rate(k0)]
+    if len(k0) != len(q0):
+        raise ValueError(f"the field has {len(k0)} entries at a start of {len(q0)}")
+    run = array("d", [0.0]), array("d", q0), array("d", [_rate(k0)])
     _store(run, _step_stream(f, q0, cfg, k0=k0))
-    return Trajectory.from_samples(*run)
+    return _trajectory(run)
 
 
 def _mul(a, b):
@@ -498,20 +513,20 @@ def run_switching(q0, gains: GainConfig, cfg: IntegratorConfig) -> SwitchResult:
     f_post = lambda q: unicycle_field(q, post)
 
     k0 = f_pre(q0)
-    run = [0.0], [q0], [_rate(k0)]
+    run = array("d", [0.0]), array("d", q0), array("d", [_rate(k0)])
     inside = lambda q: math.hypot(q[0], q[1]) <= eps
     switch_time, q_switch = 0.0, q0
     if not inside(q0):
         crossing = _store(run, _step_stream(f_pre, q0, cfg, k0=k0), inside, k0)
         if crossing is None:
             raise SwitchTimeoutError(f"position never entered radius {eps} before t={cfg.t_end}",
-                                     Trajectory.from_samples(*run))
+                                     _trajectory(run))
         switch_time, q_switch = _switch_crossing(*crossing, inside)
         if switch_time > run[0][-1]:  # past the last stored node
             _store(run, [(switch_time, q_switch, f_pre(q_switch))])
     if switch_time < cfg.t_end:
         _store(run, _step_stream(f_post, q_switch, cfg, switch_time))
-    return SwitchResult(Trajectory.from_samples(*run), switch_time)
+    return SwitchResult(_trajectory(run), switch_time)
 
 
 def _ordered_product(m) -> np.ndarray:

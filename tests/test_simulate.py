@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from driftless.analysis import rho_positive_study
 from driftless.core import closed_loop_field
 from driftless.errors import DivergenceError, RangeError, SwitchTimeoutError
 from driftless.simulate import (
+    EXPORT_BLOCK,
     FAST_CHUNK,
     MAX_NODES,
     _DP_A,
@@ -282,6 +284,18 @@ class TestIntegrate:
         traj = excinfo.value.trajectory
         assert 0.99 < traj.times[-1] < 1.0
         assert 1.0 < traj.final_state[0] <= 1e6
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_field_of_the_wrong_length_is_refused_before_a_step(self, method):
+        calls = []
+
+        def field(q):
+            calls.append(q)
+            return [-q[0], -q[1]]
+
+        with pytest.raises(ValueError, match="the field has 2 entries at a start of 3"):
+            integrate(field, [1.0, 2.0, 3.0], IntegratorConfig(method=method, t_end=1.0))
+        assert calls == [[1.0, 2.0, 3.0]]
 
     def test_rk45_collapsed_step(self):
         # the field flips sign at q = 0.5: no step across it is ever accepted
@@ -567,6 +581,66 @@ class TestNodeFields:
         want = np.array([np.dot(k, k) for k in (unicycle_field(q, pre if t <= t_s else post)
                                                  for t, q in zip(times, states))])
         assert np.max(np.abs(np.array(rates) - want) / want) <= 1e-15
+
+
+class TestStoredNodes:
+    """A stepped run keeps its nodes in flat arrays of doubles, states row after row."""
+
+    STARTS = {1: [1.0], 3: [1.0, 0.5, -0.25], 5: [1.0, 0.5, -0.25, 0.125, 0.75]}
+
+    def test_rk45_node_memory(self):
+        # 20,151 nodes of 3 states: 74 B per node at the tracemalloc peak, the returned
+        # arrays included; per-node lists of Python floats took 305 B
+        f = lambda q: [q[1], -q[0], 0.1 * q[0]]
+        tracemalloc.start()
+        try:
+            traj = integrate(f, [1.0, 0.0, 0.5], IntegratorConfig(method="rk45", t_end=900.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) > 20_000 and traj.states.shape == (len(traj.times), 3)
+        assert peak / len(traj.times) < 100.0
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_divergence_keeps_the_rows(self, d, method):
+        # q_i' = q_i^2 gives q_i(t) = q_i0 / (1 - q_i0 t): the first state diverges at t = 1
+        q0 = self.STARTS[d]
+        cfg = IntegratorConfig(method=method, step=1e-3, t_end=2.0)
+        with pytest.raises(DivergenceError) as excinfo:
+            integrate(lambda q: [v * v for v in q], q0, cfg)
+        traj = excinfo.value.trajectory
+        assert traj.states.shape == (len(traj.times), d) and len(traj.times) > 100
+        t = traj.times[traj.times < 0.9][:, None]
+        assert np.allclose(traj.states[: len(t)], np.array(q0) / (1.0 - np.array(q0) * t),
+                           rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_node_budget_counts_nodes_not_values(self, monkeypatch, d):
+        f = lambda q: [-v for v in q]
+        cfg = IntegratorConfig(method="rk45", t_end=5.0)
+        traj = integrate(f, self.STARTS[d], cfg)
+        nodes = len(traj.times) - 1
+        monkeypatch.setattr(simulate, "MAX_NODES", nodes)
+        again = integrate(f, self.STARTS[d], cfg)
+        assert again.states.shape == (nodes + 1, d)
+        assert np.array_equal(again.states, traj.states)
+        monkeypatch.setattr(simulate, "MAX_NODES", nodes - 1)
+        with pytest.raises(RangeError, match="budget"):
+            integrate(f, self.STARTS[d], cfg)
+
+    def test_switch_timeout_keeps_the_first_phase(self):
+        # phase 1 steps the pre-switch field as integrate does, node for node
+        gains = GainConfig(-1.0, 1.0, switch_enabled=True, switch_radius=1e-9,
+                           rho_theta_after_switch=-1.0)
+        cfg = IntegratorConfig(method="rk45", t_end=5.0)
+        with pytest.raises(SwitchTimeoutError) as excinfo:
+            run_switching([1.0, 1.0, 0.5], gains, cfg)
+        traj = excinfo.value.trajectory
+        ref = integrate(lambda q: unicycle_field(q, GainConfig(-1.0, 1.0)), [1.0, 1.0, 0.5], cfg)
+        assert traj.states.shape == (len(traj.times), 3)
+        for got, want in zip((traj.times, traj.states, traj.energy), (ref.times, ref.states, ref.energy)):
+            assert np.array_equal(got, want)
 
 
 class TestFastAttitudePropagator:
@@ -890,6 +964,50 @@ class TestTrajectoryIO:
         traj = integrate(on_arrays(lambda q: -q), [1.0], IntegratorConfig(t_end=0.002, step=0.001))
         with pytest.raises(ValueError, match="3-state"):
             getattr(traj, writer)(str(tmp_path / "out"))
+        assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def one_template(traj):
+        # reference: every row through one template, CSV and JSON
+        rows = np.column_stack((traj.times, traj.states, traj.energy))
+        values = tuple(rows.ravel().tolist())
+        csv = "t,x_c,y_c,theta,energy\n" + (",".join(["%.17g"] * 5) + "\n") * len(rows) % values
+        head = json.dumps({"meta": {"tool_version": driftless.__version__},
+                           "columns": ["t", "x_c", "y_c", "theta", "energy"], "rows": []}, indent=2)
+        row = "    [\n" + ",\n".join(["      %r"] * 5) + "\n    ]"
+        body = "[\n" + ",\n".join([row] * len(rows)) + "\n  ]"
+        return csv.encode(), (head[:-4] + body % values + "\n}\n").encode()
+
+    @pytest.mark.parametrize("n", [1, EXPORT_BLOCK - 1, EXPORT_BLOCK, EXPORT_BLOCK + 1,
+                                   2 * EXPORT_BLOCK + 1])
+    def test_blocks_match_one_template(self, tmp_path, n):
+        values = np.array(self.SPECIAL * (3 * n // len(self.SPECIAL) + 1))
+        states = values[: 3 * n].reshape(n, 3)
+        traj = Trajectory(np.arange(n) * 0.1, states, np.abs(values[1 : n + 1]))
+        traj.to_csv(str(tmp_path / "out.csv"))
+        traj.to_json(str(tmp_path / "out.json"))
+        csv, js = self.one_template(traj)
+        assert (tmp_path / "out.csv").read_bytes() == csv
+        assert (tmp_path / "out.json").read_bytes() == js
+
+    def test_json_refusal_dumps_the_offending_row_only(self, tmp_path, monkeypatch):
+        n = 2 * EXPORT_BLOCK + 1
+        states = np.ones((n, 3))
+        states[EXPORT_BLOCK + 5] = [1.0, math.nan, math.inf]
+        traj = Trajectory(np.arange(n) * 0.1, states, np.zeros(n))
+        with pytest.raises(ValueError) as expected:
+            json.dumps([math.nan], indent=2, allow_nan=False)
+        dumped, real = [], json.dumps
+
+        def dumps(obj, **kwargs):
+            dumped.append(obj)
+            return real(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        with pytest.raises(ValueError) as got:
+            traj.to_json(str(tmp_path / "out.json"))
+        assert str(got.value) == str(expected.value)
+        assert [len(o) for o in dumped if isinstance(o, list)] == [5]
         assert os.listdir(tmp_path) == []
 
     def test_times_must_increase(self):
