@@ -3,11 +3,11 @@
 Two evaluation branches, following the classical treatment (Abramowitz &
 Stegun ch. 9, DLMF ch. 10), each returning both orders from one pass:
 
-* ascending power series for |x| <= SERIES_CUTOFF: in Python floats up to
-  DOUBLE_BELOW, where the peak term is at most about 5 and the error about
-  1e-15 (estimated below 6e-13); above, in extended precision (numpy
-  longdouble), so the cancellation near the cutoff (terms of 3e4 for a sum of
-  0.1) stays below the 1e-12 accuracy budget;
+* ascending power series for |x| <= SERIES_CUTOFF: up to DOUBLE_BELOW as four
+  Horner sums in u = (x/2)^2 in Python floats, each binary band of u with its
+  own term count and error bound (errors about 1e-15, estimated below 3e-13);
+  above, in extended precision (numpy longdouble), so the cancellation near the
+  cutoff (terms of 3e4 for a sum of 0.1) stays below the 1e-12 accuracy budget;
 * Hankel asymptotic expansion (P/Q modulus-phase form) beyond the cutoff,
   truncated at the smallest term.
 
@@ -17,9 +17,10 @@ the extended-precision Hankel phase stays below 1e-15.
 
 bessel_j/bessel_y return a point value as a float; _jy (a point) and jy_array
 (a grid) also return each value's absolute-error estimate, bit for bit alike.
-On a 2-vCPU Xeon VM a scalar series pass takes 2-7 us up to DOUBLE_BELOW and
-33-54 us above; a 2,001-point grid takes 2-7 ms in jy_array and 11-18 ms point
-by point, but one point 0.3-0.75 ms in jy_array.
+On a 2-vCPU Xeon VM a scalar series pass takes 1.8-3.6 us up to DOUBLE_BELOW and
+30-44 us above; a 2,001-point grid on (0, 4] takes 0.9-1.0 ms in jy_array and
+5.6-5.7 ms point by point, but one point 0.15-0.18 ms in jy_array (0.76-0.93 ms
+above DOUBLE_BELOW).
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ def _math(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-# the series' number type on each side of DOUBLE_BELOW: one, eps, pi, gamma - ln 2
-_DOUBLE = (1.0, 2.0**-52, math.pi, float(_LD_LG0))
-_LONG = (_LD_ONE, _LD_EPS, _LD_PI, _LD_LG0)
-
-
 def _check(x: float) -> None:
     """Raise unless 0 < x <= MAX_ARG, the domain of every entry point."""
     if not x > 0.0:  # NaN too; Y is singular at the origin
@@ -61,9 +57,70 @@ def _check(x: float) -> None:
         raise RangeError(f"argument beyond the supported range {MAX_ARG:g}, got x={x}")
 
 
+def _rows(n: int) -> tuple[tuple[float, float, float, float], ...]:
+    """c_k, k < n, of _series' sums of J0, J1, Y0, Y1 as polynomials in u = (x/2)^2, each
+    one int / int division, so rounded once."""
+    rows, f, h = [], 1, 0  # k!, k! H_k
+    for k in range(n):
+        f1, h1, s = f * (k + 1), h * (k + 1) + f, (-1) ** k  # (k+1)!, (k+1)! H_{k+1}
+        rows.append((s / f**2, s / (f * f1), s * h / f**3, s * (h * (k + 1) + h1) / (f * f1**2)))
+        f, h = f1, h1
+    return tuple(rows)
+
+
+# Horner's rule sums each row to the term count K of u's band: band 0 is u < 2^-52, band
+# i > 0 is 2^(i-53) <= u < 2^(i-52), its top u min(2^(i-52), 4).  K leaves a tail below
+# 2^-53 S per row, S = sum_{k<=K} |c_k| top^k, and (3K + 3) 2^-53 S bounds the row's error:
+# Horner's 2K roundings (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), K
+# for u's rounding, one for the coefficients' and one for the tail.
+_K = (1,) + (2,) * 27 + (3,) * 10 + (4,) * 4 + (5,) * 3 + (6,) * 3 + (7, 8, 9, 10, 11, 13, 15, 15)
+_ROWS, _LG0 = _rows(_K[-1] + 1), float(_LD_LG0)
+
+
+def _band(i: int, k: int) -> tuple:
+    """Band i's Horner chain c_k .. c_0, then each row's error bound, for K = k."""
+    top, a, b, c, d = min(2.0 ** (i - 52), 4.0), 0.0, 0.0, 0.0, 0.0
+    for ca, cb, cc, cd in _ROWS[k::-1]:  # S per row; numpy here faults in 1 MB at import
+        a, b, c, d = a * top + abs(ca), b * top + abs(cb), c * top + abs(cc), d * top + abs(cd)
+    w = (3 * k + 3) * 2.0**-53
+    return _ROWS[k::-1], w * a, w * b, w * c, w * d
+
+
+_BANDS = tuple(_band(i, k) for i, k in enumerate(_K))
+_COEFS, _BAND_K, _BAND_ERR = np.array(_ROWS), np.array(_K), np.array([b[1:] for b in _BANDS])
+
+
+def _horner(x: float | np.ndarray) -> tuple:
+    """As _jy, x <= DOUBLE_BELOW, by Horner's rule in floats: at a point, or per element of
+    an array x, whose chains each start at their own K (a zero sum until then)."""
+    half = x / 2
+    u = half * half
+    if isinstance(x, float):
+        chain, e_j0, e_j1, e_y0, e_y1 = _BANDS[math.frexp(u)[1] + 52 if u >= 2.0**-52 else 0]
+        lg = math.log(x) + _LG0  # ln(x/2) + gamma; x/2 underflows at 5e-324
+    else:
+        band = np.where(u >= 2.0**-52, np.frexp(u)[1] + 52, 0)
+        k = _BAND_K[band]
+        chain = (np.where(j <= k, _COEFS[j, :, None], 0.0) for j in range(k.max(initial=0), -1, -1))
+        (e_j0, e_j1, e_y0, e_y1), lg = _BAND_ERR[band].T, _math(math.log, x) + _LG0
+    a = b = c = d = 0.0
+    for ca, cb, cc, cd in chain:
+        a = a * u + ca
+        b = b * u + cb
+        c = c * u + cc
+        d = d * u + cd
+    j1 = half * b
+    y0 = 2 * (lg * a - c) / math.pi
+    y1 = (2 * lg * j1 - half * d) / math.pi - 2 / math.pi / x  # 2/x overflows in double
+    err_j0, err_j1, g = e_j0 + 4e-16 * abs(a), half * e_j1 + 4e-16 * abs(j1), abs(lg) + 1
+    err_y0 = e_y0 + g * err_j0 + 4e-16 * abs(y0)
+    err_y1 = half * e_y1 + g * err_j1 + 4e-16 * abs(y1)
+    return (a, y0, err_j0, err_y0), (j1, y1, err_j1, err_y1)
+
+
 def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """As _jy, by one pass of the ascending series, x <= cutoff: in Python floats
-    up to DOUBLE_BELOW (peak terms of at most about 5), in longdouble above.
+    """As _jy, by one pass of the ascending series in longdouble, DOUBLE_BELOW < x <=
+    cutoff, where the terms peak at up to 3e4 for sums of 0.1.
 
     With t_k = (-x^2/4)^k / (k!)^2, u_k = t_k / (k+1) and harmonic numbers
     H_k (DLMF 10.2.2, 10.8.1):
@@ -74,9 +131,8 @@ def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
     The absolute rounding floor is ~k_peak * eps * peak_term.
     """
-    one, eps, pi, lg0 = _DOUBLE if (double := x <= DOUBLE_BELOW) else _LONG
-    if not double:
-        x = one * x  # longdouble from here on
+    one, eps, pi, lg0 = _LD_ONE, _LD_EPS, _LD_PI, _LD_LG0
+    x = one * x  # longdouble from here on
     half = x / 2
     q = -half * half
     t = one
@@ -110,12 +166,12 @@ def _series(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
             stop = 1e-3 * eps * (a + 1)
         elif a < stop:  # the other terms are smaller, the tail smaller still
             break
-    lg = (math.log(x) if double else np.log(x)) + lg0  # ln(x/2) + gamma; x/2 underflows at 5e-324
+    lg = np.log(x) + lg0  # ln(x/2) + gamma
     j1n = half * sum_j1
     values = (sum_j0, 2 * (lg * sum_j0 - sum_y0) / pi, j1n,
-              (2 * lg * j1n - half * sum_y1) / pi - 2 / pi / x,  # 2/x overflows in double
+              (2 * lg * j1n - half * sum_y1) / pi - 2 / pi / x,
               peak_j0, half * peak_j1, 2 * peak_y0, half * peak_y1)
-    j0, y0, j1, y1, p_j0, p_j1, p_y0, p_y1 = values if double else map(float, values)
+    j0, y0, j1, y1, p_j0, p_j1, p_y0, p_y1 = map(float, values)
     wj, wy = 4.0 * (k + 2) * eps, 8.0 * (k + 4) * eps
     err_j0 = wj * p_j0 + 4e-16 * abs(j0)
     err_j1 = wj * p_j1 + 4e-16 * abs(j1)
@@ -167,15 +223,16 @@ def _jy(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     Cached on x alone: the J and Y calls of both orders at one x cost one pass, and
     one check of x (an x that raises is not cached).
     """
-    _check(x)
+    if not 0.0 < x <= MAX_ARG:  # NaN too
+        _check(x)
     x = float(x)  # a numpy scalar would run numpy scalar arithmetic, and return it
-    return _series(x) if x <= SERIES_CUTOFF else _hankel(x)
+    return _horner(x) if x <= DOUBLE_BELOW else _series(x) if x <= SERIES_CUTOFF else _hankel(x)
 
 
-def _series_array(x: np.ndarray, double: bool) -> np.ndarray:
-    """_series per element of x, all on one side of DOUBLE_BELOW (below it if double),
-    in that side's number type; each element stops at its own term."""
-    one, eps, pi, lg0 = _DOUBLE if double else _LONG
+def _series_array(x: np.ndarray) -> np.ndarray:
+    """_series per element of x, all in (DOUBLE_BELOW, cutoff]; each element stops at
+    its own term."""
+    one, eps, pi, lg0 = _LD_ONE, _LD_EPS, _LD_PI, _LD_LG0
     half = one * x / 2
     q = -half * half
     sums = np.array([[1], [1], [0], [1]], type(one)).repeat(len(x), 1)  # J0 J1 Y0 Y1
@@ -198,10 +255,9 @@ def _series_array(x: np.ndarray, double: bool) -> np.ndarray:
         last[live[done]] = k
         live, t = live[~done], t[~done]
     (s_j0, s_j1, s_y0, s_y1), (p_j0, p_j1, p_y0, p_y1) = sums, peaks
-    lg = (_math(math.log, x) if double else np.log(one * x)) + lg0
+    lg = np.log(one * x) + lg0
     j1n = half * s_j1
-    with np.errstate(over="ignore"):  # Y1 = -inf below about 3.5e-309, as in _series
-        y1 = ((2 * lg * j1n - half * s_y1) / pi - 2 / pi / x).astype(float)
+    y1 = ((2 * lg * j1n - half * s_y1) / pi - 2 / pi / x).astype(float)
     j0, j1 = s_j0.astype(float), j1n.astype(float)
     y0 = (2 * (lg * s_j0 - s_y0) / pi).astype(float)
     wj, wy = 4.0 * (last + 2) * eps, 8.0 * (last + 4) * eps
@@ -221,8 +277,9 @@ def jy_array(x) -> np.ndarray:
         _check(float(np.max(x)))
     out = np.empty((2, 4, len(x)))
     low, high = x <= DOUBLE_BELOW, x > SERIES_CUTOFF
-    out[:, :, low] = _series_array(x[low], True)
-    out[:, :, ~low & ~high] = _series_array(x[~low & ~high], False)
+    with np.errstate(over="ignore"):  # Y1 = -inf below about 3.5e-309, as at a point
+        out[:, :, low] = _horner(x[low])
+    out[:, :, ~low & ~high] = _series_array(x[~low & ~high])
     # point by point above the cutoff: few grid points lie there, and an array
     # form of _hankel would save under 2 % of a closed-form-cli round
     values = [_hankel(v) for v in x[high].tolist()]

@@ -144,6 +144,9 @@ def _closed_form_states(args, q0):
     sol = None if q0[2] == 0.0 and args.degenerate else closedform.fit_solution(q0[:2], q0[2])
 
     def states(t):
+        if len(t) > simulate.EXPORT_BLOCK:  # block by block: a grid's temporaries stay small
+            return np.concatenate([states(t[i : i + simulate.EXPORT_BLOCK])
+                                   for i in range(0, len(t), simulate.EXPORT_BLOCK)])
         if sol is None:
             return np.column_stack((closedform.degenerate_eval(q0[0], q0[1], t), np.zeros_like(t)))
         st = closedform.eval_solution(sol, t)  # its z1, z2, X go on return, before any write

@@ -19,10 +19,10 @@ that matches the numerical oracle.
 
 eval_solution takes one time (four float bessel_j/bessel_y values, math) or a
 1-D array of times (one bessel.jy_array pass, math per element); both give the
-same bits.  A point costs one series pass (2-7 us for |theta| <= 4, summed in
-floats) and about 3-4 us of its own on a 2-vCPU Xeon VM, 0.6 us of which builds
-the ClosedFormState NamedTuple (a frozen dataclass took 1.3-2.0 us).  The Bessel
-functions take |theta| > 0 only: below 1e-150 _basis uses their leading terms.
+same bits.  A point costs one series pass (1.8-3.6 us for |theta| <= 4, Horner
+sums in floats) and about 2-3.5 us of its own on a 2-vCPU Xeon VM, 0.25 us of
+which builds the ClosedFormState NamedTuple (0.6 us through its __new__).  The
+Bessel functions take |theta| > 0 only: below 1e-150 _basis uses their leading terms.
 """
 
 from __future__ import annotations
@@ -169,16 +169,20 @@ def _time(t):
 def eval_solution(sol: ClosedFormSolution, t: float) -> ClosedFormState:
     """Evaluate attitude, rotated coordinates, and position at time t >= 0 (or a 1-D
     array; a 0-d array is a point)."""
-    if point := isinstance(t := _time(t), float):
+    # a nonnegative float (np.float64 is one) is a point as it is; the rest go through _time
+    if isinstance(t, float) and t >= 0.0 or isinstance(t := _time(t), float):
         theta = sol.theta0 * math.exp(-t)
         (a, b), (c, d) = _basis(theta)
-    else:
-        theta = sol.theta0 * _math(math.exp, -t)
-        (a, b), (c, d) = _basis_grid(theta)
+        z1 = a * sol.c1 + b * sol.c2
+        z2 = c * sol.c1 + d * sol.c2
+        co, si = math.cos(theta), math.sin(theta)
+        X = np.array((co * z1 - si * z2, si * z1 + co * z2))
+        return tuple.__new__(ClosedFormState, (theta, z1, z2, X))  # not the NamedTuple's __new__
+    theta = sol.theta0 * _math(math.exp, -t)
+    (a, b), (c, d) = _basis_grid(theta)
     z1 = a * sol.c1 + b * sol.c2
     z2 = c * sol.c1 + d * sol.c2
-    X = from_z_frame((z1, z2), theta)
-    return ClosedFormState(theta, z1, z2, X if point else X.T)
+    return ClosedFormState(theta, z1, z2, from_z_frame((z1, z2), theta).T)
 
 
 def degenerate_eval(x0: float, y0: float, t: float) -> np.ndarray:

@@ -5,17 +5,23 @@ The reference values come from mpmath at 30 digits and from an explicit
 the package implementation).
 """
 
+import ast
+import inspect
 import math
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from driftless import bessel
 from driftless.bessel import (
     DOUBLE_BELOW,
     MAX_ARG,
     SERIES_CUTOFF,
+    _K,
+    _ROWS,
     _jy,
     bessel_j,
     bessel_y,
@@ -167,7 +173,7 @@ def test_seam_continuity():
 
 
 def test_double_seam_continuity():
-    # the series changes number type at DOUBLE_BELOW, not formula
+    # the series changes number type at DOUBLE_BELOW, not its terms
     lo, hi = DOUBLE_BELOW - 1e-13, DOUBLE_BELOW + 1e-13
     for below, above in zip(four(lo), four(hi)):
         assert abs(below - above) <= 1e-12
@@ -182,6 +188,57 @@ def test_double_branch_within_budget():
             err = abs(val - float(ref))
             assert err <= max(1e-12, 1e-12 * abs(val))
             assert err <= est <= max(1e-12, 1e-12 * abs(val))
+
+
+def exact_rows(n):
+    """The coefficients c_k, k < n, of the float branch's sums in u = (x/2)^2, exactly:
+    (-1)^k / (k!)^2 (J0), (-1)^k / (k! (k+1)!) (J1), H_k and H_k + H_{k+1} times them (Y)."""
+    rows, h = [], Fraction(0)
+    for k in range(n):
+        j0 = Fraction((-1) ** k, math.factorial(k) ** 2)
+        j1 = Fraction((-1) ** k, math.factorial(k) * math.factorial(k + 1))
+        h1 = h + Fraction(1, k + 1)
+        rows.append((j0, j1, h * j0, (h + h1) * j1))
+        h = h1
+    return rows
+
+
+def test_horner_rows_are_the_exact_coefficients_rounded_once():
+    assert _ROWS == tuple(tuple(map(float, row)) for row in exact_rows(len(_ROWS)))
+    # built from int ratios: tables built with fractions took 72 ms at import
+    tree = ast.parse(inspect.getsource(bessel))
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "fractions" not in modules
+
+
+def test_horner_term_counts_leave_a_tail_below_the_bound():
+    # at each band's top u, the terms past K sum to less than 2^-53 times the row's
+    # sum_{k<=K} |c_k| top^k, which the band's error estimate counts for the tail; terms
+    # past k = 60 add less than 1e-120.  The top band holds x = DOUBLE_BELOW, u = 4
+    assert math.frexp((DOUBLE_BELOW / 2) ** 2)[1] + 52 == len(_K) - 1
+    rows = exact_rows(61)
+    for i, k in enumerate(_K):
+        top = min(Fraction(2) ** (i - 52), Fraction(4))
+        powers = [top**j for j in range(len(rows))]
+        for r in range(4):
+            terms = [abs(row[r]) * p for row, p in zip(rows, powers)]
+            assert sum(terms[k + 1 :]) < sum(terms[: k + 1]) / 2**53, (i, k, r)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1e-163, 1e-310, 2.0**-25, float(np.nextafter(2.0**-25, 0.0)), DOUBLE_BELOW],
+    ids=["u=0", "subnormal", "band-1-bottom", "band-0-top", "DOUBLE_BELOW"],
+)
+def test_horner_band_ends_against_mpmath(x):
+    # (x/2)^2 underflows to 0 below about 1.5e-162; 2^-25 is the bottom of band 1
+    for (val, est), ref in zip(estimated(x), mp_four(mp.mpf(x))):
+        ref = float(ref)
+        if math.isinf(ref):  # Y1's pole overflows at the subnormal x
+            assert val == ref and est == math.inf
+        else:
+            assert abs(val - ref) <= min(est, max(1e-12, 1e-12 * abs(ref)))
 
 
 def test_longdouble_is_extended():

@@ -184,11 +184,16 @@ def per_sample_closed_form(path, q0, t_end, dt, degenerate):
 
 
 @pytest.mark.parametrize(
-    "q0, degenerate",
-    [((1.0, -0.5, 5.0), False), ((-0.7, 1.1, 20.0), False), ((2.2, 0.3, 48.0), False),
-     ((0.7, -0.4, 0.0), True)],
+    "q0, degenerate, block",
+    [((1.0, -0.5, 5.0), False, None), ((-0.7, 1.1, 20.0), False, None), ((2.2, 0.3, 48.0), False, None),
+     ((0.7, -0.4, 0.0), True, None), ((1.0, -0.5, 5.0), False, 300), ((0.7, -0.4, 0.0), True, 300)],
+    ids=["q00-False", "q01-False", "q02-False", "q03-True", "q00-False-blocks-of-300",
+         "q03-True-blocks-of-300"],
 )
-def test_closed_form_csv_equals_point_loop(tmp_path, capsys, q0, degenerate):
+def test_closed_form_csv_equals_point_loop(tmp_path, capsys, monkeypatch, q0, degenerate, block):
+    # the 2,001 samples are one block of simulate.EXPORT_BLOCK, or six of 300 and one of 201
+    if block:
+        monkeypatch.setattr(simulate, "EXPORT_BLOCK", block)
     out, ref = tmp_path / "grid.csv", tmp_path / "points.csv"
     flags = ["--degenerate"] if degenerate else []
     code, _, _ = run(capsys, "closed-form", "--q0=" + ",".join(map(repr, q0)), "--t-end", "10",

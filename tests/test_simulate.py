@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from scipy import special
 
 import driftless
-from driftless import simulate
+from driftless import closedform, simulate
 from driftless.analysis import rho_positive_study
 from driftless.core import closed_loop_field
 from driftless.errors import DivergenceError, RangeError, SwitchTimeoutError
@@ -117,6 +117,25 @@ class TestIntegrate:
             errs.append(abs(traj.final_state[0] - math.exp(-1.0)))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
+
+    @pytest.mark.parametrize("run", [
+        lambda q0, cfg: integrate_unicycle(q0, EQUAL_GAINS, cfg),
+        lambda q0, cfg: integrate(lambda q: unicycle_field(q, EQUAL_GAINS), q0, cfg),
+    ], ids=["integrate_unicycle", "integrate"])
+    def test_rk4_observed_order_against_the_closed_form(self, run):
+        # a consistent stepper of lower order passes criterion 1's 1e-4 at h = 1e-3 with
+        # room to spare: scaling a stage product by 1.001 in _rk4_transitions left errors
+        # of 1e-7 to 3e-7 there, and ratios of 2.00-2.04 per halving here; RK4 reads 16.1-16.5
+        rng = np.random.default_rng(2024)
+        signs, sizes = rng.choice((-1.0, 1.0), 10), rng.uniform(0.3, 3.0, 10)
+        for q0 in [[*rng.uniform(-2.0, 2.0, 2), s * m] for s, m in zip(signs, sizes)]:
+            sol = closedform.fit_solution(q0[:2], q0[2])
+            errs = []
+            for h in (0.04, 0.02, 0.01):
+                traj = run(q0, IntegratorConfig(step=h, t_end=10.0))
+                X = [closedform.eval_solution(sol, t).X for t in traj.times]
+                errs.append(np.max(np.abs(np.array(X) - traj.states[:, :2])))
+            assert 15.0 < errs[0] / errs[1] < 17.5 and 15.0 < errs[1] / errs[2] < 17.5, (q0, errs)
 
     def test_unicycle_long_run(self):
         traj = integrate_unicycle([1.0, 0.0, 0.5], EQUAL_GAINS, IntegratorConfig(step=1e-3, t_end=20.0))
